@@ -4,21 +4,13 @@ evaluation, prediction, gradient checking, and the ablation harness.
 Exit codes: 0 success, 1 validation error, 2 runtime or numeric failure.
 """
 
-import os
-
-# BLAS thread pools read these variables at import time, so the cap must
-# be applied before numpy loads.
-_cap = os.environ.get("SAAN_THREADS")
-if _cap:
-    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _cap)
-
 import argparse
 import csv
 import json
+import os
 import re
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -27,30 +19,10 @@ from .density import compute_bins, gaussian_density_map
 from .errors import ConfigError, SaanError, TrainingError
 from .gradcheck import run_suite
 from .io_formats import Manifest, ManifestItem
-from .network import Arch, count_from_density, model_forward
-from .params import load_checkpoint, save_checkpoint
+from .network import Arch, model_forward
+from .params import load_checkpoint, save_checkpoint, validate_inventory
 
-CONFIG_DEFAULTS = {
-    "manifest": "manifest.json",
-    "out_dir": "run",
-    "seed": 0,
-    "phase1_epochs": 20,
-    "phase2_epochs": 30,
-    "learning_rate": 1e-4,
-    "beta1": 0.9,
-    "beta2": 0.999,
-    "epsilon": 1e-8,
-    "batch_size": 4,
-    "crop_size": 128,
-    "lambda_g": 0.1,
-    "lambda_l": 0.1,
-    "sigma": 4.0,
-}
-
-_INT_KEYS = ("seed", "phase1_epochs", "phase2_epochs", "batch_size", "crop_size")
-_FLOAT_KEYS = ("learning_rate", "beta1", "beta2", "epsilon",
-               "lambda_g", "lambda_l", "sigma")
-_PATH_KEYS = ("manifest", "out_dir")
+CONFIG_DEFAULTS = {f.name: f.default for f in fields(train.TrainConfig)}
 
 
 def load_config(path):
@@ -70,19 +42,21 @@ def load_config(path):
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     merged = {**CONFIG_DEFAULTS, **doc}
-    for key in _INT_KEYS:
-        if isinstance(merged[key], bool) or not isinstance(merged[key], int):
-            raise ConfigError(f"config key {key!r} must be an integer, got {merged[key]!r}")
-    for key in _FLOAT_KEYS:
-        if isinstance(merged[key], bool) or not isinstance(merged[key], (int, float)):
-            raise ConfigError(f"config key {key!r} must be a number, got {merged[key]!r}")
-        merged[key] = float(merged[key])
-    for key in _PATH_KEYS:
-        if not isinstance(merged[key], str) or not merged[key]:
-            raise ConfigError(f"config key {key!r} must be a non-empty string")
     cfg_dir = os.path.dirname(os.path.abspath(path))
-    for key in _PATH_KEYS:
-        merged[key] = os.path.normpath(os.path.join(cfg_dir, merged[key]))
+    # integers are checked first, then numbers, then paths
+    for f in sorted(fields(train.TrainConfig), key=lambda f: (int, float, str).index(f.type)):
+        key, value = f.name, merged[f.name]
+        if f.type is int:
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
+        elif f.type is float:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
+            merged[key] = float(value)
+        else:
+            if not isinstance(value, str) or not value:
+                raise ConfigError(f"config key {key!r} must be a non-empty string")
+            merged[key] = os.path.normpath(os.path.join(cfg_dir, value))
     return train.TrainConfig(**merged)
 
 
@@ -201,8 +175,11 @@ def cmd_eval(args):
 def cmd_predict(args):
     image = io_formats.read_pgm(args.image)
     params = load_checkpoint(args.checkpoint)
+    validate_inventory(params, Arch.default())
     out = model_forward(image[None, None, :, :], params)
     density = out.density[0, 0].astype(np.float32)
+    if not np.all(np.isfinite(density)):
+        raise TrainingError(f"checkpoint {args.checkpoint} gives a non-finite density map")
     io_formats.save_density(args.out + ".dm", density)
     peak = float(density.max())
     if peak > 0:

@@ -36,7 +36,8 @@ class BinningError(SaanError, ValueError):
 
 
 class TrainingError(SaanError, RuntimeError):
-    """Non-finite loss or gradient during optimization; names the step."""
+    """Numeric failure: a non-finite loss, gradient or prediction, or a
+    failed gradient check; names the step or input."""
 
 
 class ConfigError(SaanError, ValueError):

@@ -74,6 +74,8 @@ def read_pgm(path):
         raise CodecError(f"malformed pgm header: {exc}", offset=pos)
     if maxval != 255:
         raise CodecError(f"only 8-bit pgm supported, maxval {maxval}", offset=pos)
+    if width <= 0 or height <= 0:
+        raise CodecError(f"pgm dimensions must be positive, got {width}x{height}", offset=pos)
     pos += 1  # single whitespace byte after maxval
     need = width * height
     if len(buf) - pos < need:
@@ -186,6 +188,13 @@ def save_manifest(path, manifest):
         fh.write("\n")
 
 
+def _is_range(value):
+    """A [min, max] pair of finite JSON numbers."""
+    return isinstance(value, list) and len(value) == 2 and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) and np.isfinite(v)
+        for v in value)
+
+
 def load_manifest(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -216,8 +225,7 @@ def load_manifest(path):
         if (
             not isinstance(bins_doc, dict)
             or set(bins_doc) != {"global", "local"}
-            or len(bins_doc["global"]) != 2
-            or len(bins_doc["local"]) != 2
+            or not all(_is_range(r) for r in bins_doc.values())
         ):
             raise ManifestError(f"{path}: 'bins' must hold 'global' and 'local' ranges")
         bins = ScaleBins(

@@ -73,23 +73,16 @@ def _act_backward(gy, pre, act):
 
 def seq_forward(x, params, prefix, spec):
     """Run the stack; returns (output, caches) for seq_backward."""
+    # looked up per call so a wrapped ops function is seen by the engine
+    weighted = {"conv": ops.conv2d, "deconv": ops.conv2d_transpose,
+                "fc": ops.fully_connected}
     caches = []
     for entry in spec:
         name, kind = entry[0], entry[1]
         base = f"{prefix}.{name}"
-        if kind == "conv":
-            act = entry[4]
-            pre = ops.conv2d(x, params[f"{base}.weight"], params[f"{base}.bias"])
-            caches.append((kind, base, x, pre, act))
-            x = _apply_act(pre, act)
-        elif kind == "deconv":
-            act = entry[3]
-            pre = ops.conv2d_transpose(x, params[f"{base}.weight"], params[f"{base}.bias"])
-            caches.append((kind, base, x, pre, act))
-            x = _apply_act(pre, act)
-        elif kind == "fc":
-            act = entry[3]
-            pre = ops.fully_connected(x, params[f"{base}.weight"], params[f"{base}.bias"])
+        if kind in weighted:
+            act = entry[-1]
+            pre = weighted[kind](x, params[f"{base}.weight"], params[f"{base}.bias"])
             caches.append((kind, base, x, pre, act))
             x = _apply_act(pre, act)
         elif kind == "pool":
@@ -110,25 +103,15 @@ def seq_forward(x, params, prefix, spec):
 
 def seq_backward(gy, caches, params):
     """Walk the caches in reverse; returns (input grad, param grads)."""
+    weighted = {"conv": ops.conv2d_backward, "deconv": ops.conv2d_transpose_backward,
+                "fc": ops.fully_connected_backward}
     grads = {}
     for cache in reversed(caches):
         kind, base = cache[0], cache[1]
-        if kind == "conv":
+        if kind in weighted:
             _, _, x_in, pre, act = cache
             gpre = _act_backward(gy, pre, act)
-            gy, gw, gb = ops.conv2d_backward(gpre, x_in, params[f"{base}.weight"])
-            grads[f"{base}.weight"] = gw
-            grads[f"{base}.bias"] = gb
-        elif kind == "deconv":
-            _, _, x_in, pre, act = cache
-            gpre = _act_backward(gy, pre, act)
-            gy, gw, gb = ops.conv2d_transpose_backward(gpre, x_in, params[f"{base}.weight"])
-            grads[f"{base}.weight"] = gw
-            grads[f"{base}.bias"] = gb
-        elif kind == "fc":
-            _, _, x_in, pre, act = cache
-            gpre = _act_backward(gy, pre, act)
-            gy, gw, gb = ops.fully_connected_backward(gpre, x_in, params[f"{base}.weight"])
+            gy, gw, gb = weighted[kind](gpre, x_in, params[f"{base}.weight"])
             grads[f"{base}.weight"] = gw
             grads[f"{base}.bias"] = gb
         elif kind == "pool":

@@ -14,13 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ops
 from .errors import ShapeError
-
-
-@dataclass
-class LossWeights:
-    lambda_g: float = 0.1
-    lambda_l: float = 0.1
 
 
 @dataclass
@@ -63,16 +58,12 @@ def loss_gsa(global_logits, g_gt):
     g_gt holds 1-based classes. Returns (value, grad w.r.t. logits).
     """
     y = _check_classes(g_gt)
-    n, k = global_logits.shape
-    lse = _logsumexp_rows(global_logits)
-    picked = global_logits[np.arange(n), y]
-    value = float((lse - picked).mean())
-    m = global_logits.max(axis=1, keepdims=True)
-    e = np.exp(global_logits - m)
-    p = e / e.sum(axis=1, keepdims=True)
-    onehot = np.zeros_like(p)
-    onehot[np.arange(n), y] = 1.0
-    return value, (p - onehot) / n
+    n = global_logits.shape[0]
+    rows = np.arange(n)
+    value = float((_logsumexp_rows(global_logits) - global_logits[rows, y]).mean())
+    p = ops.softmax(global_logits)
+    p[rows, y] -= 1.0
+    return value, p / n
 
 
 def loss_lsa(local_logits, l_gt):
@@ -81,25 +72,9 @@ def loss_lsa(local_logits, l_gt):
     n, k, h, w = local_logits.shape
     if l_gt.shape != (n, h, w):
         raise ShapeError(f"local labels {l_gt.shape} do not match logits {local_logits.shape}")
-    y = _check_classes(l_gt)
     z = local_logits.transpose(0, 2, 3, 1).reshape(-1, k)  # [N*h*w, 3]
-    yf = y.reshape(-1)
-    count = z.shape[0]
-    lse = _logsumexp_rows(z)
-    picked = z[np.arange(count), yf]
-    value = float((lse - picked).mean())
-    m = z.max(axis=1, keepdims=True)
-    e = np.exp(z - m)
-    p = e / e.sum(axis=1, keepdims=True)
-    onehot = np.zeros_like(p)
-    onehot[np.arange(count), yf] = 1.0
-    g = ((p - onehot) / count).reshape(n, h, w, k).transpose(0, 3, 1, 2)
-    return value, np.ascontiguousarray(g)
-
-
-def loss_final(l_dm_value, l_gsa_value, l_lsa_value, weights):
-    """Weighted sum of the three components."""
-    return l_dm_value + weights.lambda_g * l_gsa_value + weights.lambda_l * l_lsa_value
+    value, g = loss_gsa(z, l_gt.reshape(-1))
+    return value, np.ascontiguousarray(g.reshape(n, h, w, k).transpose(0, 3, 1, 2))
 
 
 def total_loss(out, gt_density, g_gt, l_gt, lambda_g, lambda_l,
@@ -125,12 +100,11 @@ def total_loss(out, gt_density, g_gt, l_gt, lambda_g, lambda_l,
         lsa_value, lsa_grad = loss_lsa(out.local_logits, l_gt)
         grads["local_logits"] = lambda_l * lsa_grad
 
-    weights = LossWeights(lambda_g=lambda_g, lambda_l=lambda_l)
     report = LossReport(
         l_dm=dm_value,
         l_gsa=gsa_value,
         l_lsa=lsa_value,
-        l_final=loss_final(dm_value, gsa_value, lsa_value, weights),
+        l_final=dm_value + lambda_g * gsa_value + lambda_l * lsa_value,
     )
     return report, grads
 

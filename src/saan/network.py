@@ -128,12 +128,6 @@ class Arch:
         out.append(("fn", self._fn_spec(), sum(self.feature_depths)))
         return out
 
-    def subnet_spec(self, prefix):
-        for p, spec, cin in self.subnets():
-            if p == prefix:
-                return spec, cin
-        raise KeyError(prefix)
-
 
 @dataclass
 class ForwardOutputs:
@@ -148,70 +142,6 @@ class ForwardOutputs:
     cache: dict = field(default_factory=dict, repr=False)
 
 
-def _check_image(image):
-    if image.ndim != 4 or image.shape[1] != 1:
-        raise ShapeError(f"expected image batch [N,1,H,W], got {image.shape}")
-
-
-def _require_mult4(h, w):
-    if h % 4 or w % 4:
-        raise ShapeError(
-            f"H and W must be multiples of 4, got {h}x{w}; "
-            "pad the input (model_forward does this automatically)"
-        )
-
-
-def mfe_forward(image, params, arch=None):
-    """Three-branch feature extractor -> (f1, f2, f3) at H/4 x W/4."""
-    arch = arch or Arch.default()
-    _check_image(image)
-    _require_mult4(image.shape[2], image.shape[3])
-    feats = []
-    for i in range(1, 4):
-        prefix = f"mfe.branch{i}"
-        spec, _ = arch.subnet_spec(prefix)
-        f, _ = seq_forward(image, params, prefix, spec)
-        feats.append(f)
-    return tuple(feats)
-
-
-def gsa_forward(image, params, arch=None):
-    """Global scale attention -> (scores [N,3], logits [N,3])."""
-    arch = arch or Arch.default()
-    _check_image(image)
-    if image.shape[2] < 8 or image.shape[3] < 8:
-        raise ShapeError(f"gsa needs H,W >= 8, got {image.shape[2]}x{image.shape[3]}")
-    spec, _ = arch.subnet_spec("gsa")
-    logits, _ = seq_forward(image, params, "gsa", spec)
-    return ops.softmax(logits), logits
-
-
-def lsa_forward(image, params, arch=None):
-    """Local scale attention -> (maps [N,3,H/4,W/4], logits)."""
-    arch = arch or Arch.default()
-    _check_image(image)
-    _require_mult4(image.shape[2], image.shape[3])
-    spec, _ = arch.subnet_spec("lsa")
-    logits, _ = seq_forward(image, params, "lsa", spec)
-    return ops.sigmoid(logits), logits
-
-
-def attention_weight(f_i, g_i, l_i):
-    """Eq-style weighting of one branch: a_i = g_i * l_i * f_i."""
-    return ops.scale_broadcast_mul(f_i, g_i, l_i)
-
-
-def fusion_forward(a1, a2, a3, params, arch=None):
-    """Fuse weighted features back to a full-resolution density map."""
-    arch = arch or Arch.default()
-    cat = ops.concat_channels([a1, a2, a3])
-    spec, cin = arch.subnet_spec("fn")
-    if cat.shape[1] != cin:
-        raise ShapeError(f"fusion expects {cin} channels, got {cat.shape[1]}")
-    density, _ = seq_forward(cat, params, "fn", spec)
-    return density
-
-
 def model_forward(image, params, arch=None, lsa_enabled=True, gsa_enabled=True):
     """Full pipeline. Pads H,W (reflect) to multiples of 4, crops back.
 
@@ -220,7 +150,8 @@ def model_forward(image, params, arch=None, lsa_enabled=True, gsa_enabled=True):
     Returns ForwardOutputs with caches for model_backward.
     """
     arch = arch or Arch.default()
-    _check_image(image)
+    if image.ndim != 4 or image.shape[1] != 1:
+        raise ShapeError(f"expected image batch [N,1,H,W], got {image.shape}")
     n, _, h, w = image.shape
     pad_h = (-h) % 4
     pad_w = (-w) % 4
@@ -230,19 +161,18 @@ def model_forward(image, params, arch=None, lsa_enabled=True, gsa_enabled=True):
     hp, wp = xp.shape[2], xp.shape[3]
     if hp < 8 or wp < 8:
         raise ShapeError(f"input too small: padded size {hp}x{wp}, need >= 8")
+    specs = {prefix: spec for prefix, spec, _ in arch.subnets()}
 
     feats = []
     branch_caches = []
     for i in range(1, 4):
         prefix = f"mfe.branch{i}"
-        spec, _ = arch.subnet_spec(prefix)
-        f, c = seq_forward(xp, params, prefix, spec)
+        f, c = seq_forward(xp, params, prefix, specs[prefix])
         feats.append(f)
         branch_caches.append(c)
 
     if gsa_enabled:
-        spec, _ = arch.subnet_spec("gsa")
-        global_logits, gsa_cache = seq_forward(xp, params, "gsa", spec)
+        global_logits, gsa_cache = seq_forward(xp, params, "gsa", specs["gsa"])
         g = ops.softmax(global_logits)
     else:
         global_logits, gsa_cache = None, None
@@ -250,20 +180,18 @@ def model_forward(image, params, arch=None, lsa_enabled=True, gsa_enabled=True):
 
     h4, w4 = feats[0].shape[2], feats[0].shape[3]
     if lsa_enabled:
-        spec, _ = arch.subnet_spec("lsa")
-        local_logits, lsa_cache = seq_forward(xp, params, "lsa", spec)
+        local_logits, lsa_cache = seq_forward(xp, params, "lsa", specs["lsa"])
         l = ops.sigmoid(local_logits)
     else:
         local_logits, lsa_cache = None, None
         l = np.ones((n, 3, h4, w4), dtype=image.dtype)
 
     weighted = [
-        attention_weight(feats[i], np.ascontiguousarray(g[:, i]), l[:, i : i + 1])
+        ops.scale_broadcast_mul(feats[i], np.ascontiguousarray(g[:, i]), l[:, i : i + 1])
         for i in range(3)
     ]
     cat = ops.concat_channels(weighted)
-    spec, _ = arch.subnet_spec("fn")
-    density_pad, fn_cache = seq_forward(cat, params, "fn", spec)
+    density_pad, fn_cache = seq_forward(cat, params, "fn", specs["fn"])
     density = density_pad[:, :, :h, :w]
 
     return ForwardOutputs(

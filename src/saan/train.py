@@ -21,8 +21,8 @@ from .synth import augment
 
 @dataclass(frozen=True)
 class TrainConfig:
-    manifest: str
-    out_dir: str
+    manifest: str = "manifest.json"
+    out_dir: str = "run"
     seed: int = 0
     phase1_epochs: int = 20
     phase2_epochs: int = 30
@@ -194,7 +194,7 @@ def _load_training_set(manifest, base_dir):
     return samples, manifest.bins
 
 
-def train_phase1(manifest, config, base_dir, arch=None, log=None, params=None):
+def train_phase1(manifest, config, base_dir, arch=None, log=None):
     """Optimize L_DM + lambda_g * L_GSA with local attention forced to one.
 
     LSA parameters are created at initialization but never updated:
@@ -202,8 +202,7 @@ def train_phase1(manifest, config, base_dir, arch=None, log=None, params=None):
     """
     arch = arch or Arch.default()
     samples, bins = _load_training_set(manifest, base_dir)
-    if params is None:
-        params = init_params(arch, np.random.default_rng([config.seed, 0]))
+    params = init_params(arch, np.random.default_rng([config.seed, 0]))
     return _run_phase(
         params, samples, bins, config, arch,
         phase=1, epochs=config.phase1_epochs,
@@ -211,8 +210,7 @@ def train_phase1(manifest, config, base_dir, arch=None, log=None, params=None):
     )
 
 
-def train_phase2(params, manifest, config, base_dir, arch=None, log=None,
-                 reinit_lsa=True):
+def train_phase2(params, manifest, config, base_dir, arch=None, log=None):
     """Optimize the full loss over every sub-network.
 
     MFE/GSA/FN continue from the phase-1 values; LSA restarts from a
@@ -220,9 +218,8 @@ def train_phase2(params, manifest, config, base_dir, arch=None, log=None,
     """
     arch = arch or Arch.default()
     samples, bins = _load_training_set(manifest, base_dir)
-    if reinit_lsa:
-        params.update(init_params(arch, np.random.default_rng([config.seed, 1]),
-                                  prefix="lsa."))
+    params.update(init_params(arch, np.random.default_rng([config.seed, 1]),
+                              prefix="lsa."))
     return _run_phase(
         params, samples, bins, config, arch,
         phase=2, epochs=config.phase2_epochs,
@@ -278,10 +275,13 @@ def evaluate(params, manifest, base_dir, split, arch=None,
         points = io_formats.read_annotations(os.path.join(base_dir, item.ann))
         out = model_forward(image, params, arch,
                             lsa_enabled=lsa_enabled, gsa_enabled=gsa_enabled)
+        pred_count = float(count_from_density(out.density)[0])
+        if not np.isfinite(pred_count):
+            raise TrainingError(f"non-finite predicted count for {item.image}")
         records.append({
             "image": item.image,
             "gt_count": float(len(points)),
-            "pred_count": float(count_from_density(out.density)[0]),
+            "pred_count": pred_count,
         })
     gt = [r["gt_count"] for r in records]
     pred = [r["pred_count"] for r in records]

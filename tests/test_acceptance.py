@@ -27,7 +27,7 @@ from saan.density import gaussian_density_map
 from saan.errors import CodecError, ManifestError
 from saan.gradcheck import run_suite
 from saan.io_formats import Manifest, ManifestItem, ScaleBins
-from saan.network import Arch, gsa_forward, lsa_forward, model_forward
+from saan.network import Arch, model_forward
 from saan.params import init_params, load_checkpoint, save_checkpoint
 
 
@@ -75,10 +75,9 @@ def test_criterion_2_attention_invariants():
         h = 4 * int(rng.integers(2, 6))
         w = 4 * int(rng.integers(2, 6))
         x = rng.uniform(0, 1, (2, 1, h, w)).astype(np.float32)
-        g, _ = gsa_forward(x, params, arch)
-        assert np.all(np.abs(g.sum(axis=1) - 1.0) < 1e-6)
-        l, _ = lsa_forward(x, params, arch)
-        assert np.all(l > 0.0) and np.all(l < 1.0)
+        out = model_forward(x, params, arch)
+        assert np.all(np.abs(out.global_scores.sum(axis=1) - 1.0) < 1e-6)
+        assert np.all(out.local_maps > 0.0) and np.all(out.local_maps < 1.0)
         f = master.normal(size=(2, 3, 5, 7))
         gi = master.normal(size=(2,))
         li = master.uniform(0, 1, (2, 1, 5, 7))

@@ -3,17 +3,20 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import saan
 from saan import io_formats
 from saan.cli import CONFIG_DEFAULTS, load_config, main
 from saan.density import compute_bins
 from saan.errors import ConfigError
 from saan.losses import mae as mae_fn
 from saan.network import Arch
-from saan.params import init_params, load_checkpoint
+from saan.params import init_params, load_checkpoint, save_checkpoint
 
 
 def run_synth(out, images=12, size="32x32", cmin=3, cmax=9, seed=11):
@@ -21,6 +24,15 @@ def run_synth(out, images=12, size="32x32", cmin=3, cmax=9, seed=11):
         "synth", "--out", str(out), "--images", str(images), "--size", size,
         "--count-min", str(cmin), "--count-max", str(cmax), "--seed", str(seed),
     ])
+
+
+def nan_checkpoint(src, tmp_path):
+    """A copy of a valid checkpoint whose density head bias is NaN."""
+    params = load_checkpoint(src)
+    params["fn.conv2.bias"] = np.full_like(params["fn.conv2.bias"], np.nan)
+    path = str(tmp_path / "nan.ck")
+    save_checkpoint(params, path)
+    return path
 
 
 def read_tree(root):
@@ -239,7 +251,6 @@ class TestEval:
                      "--manifest", manifest_path]) == 1
 
     def test_inventory_mismatch_exits_1(self, trained, tmp_path, capsys):
-        from saan.params import save_checkpoint
         _, manifest_path, _, out_dir = trained
         params = load_checkpoint(os.path.join(out_dir, "final.ck"))
         del params["fn.conv2.weight"]
@@ -248,6 +259,12 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(bad),
                      "--manifest", manifest_path]) == 1
         assert "fn.conv2.weight" in capsys.readouterr().err
+
+    def test_nan_checkpoint_exits_2(self, trained, tmp_path, capsys):
+        _, manifest_path, _, out_dir = trained
+        bad = nan_checkpoint(os.path.join(out_dir, "final.ck"), tmp_path)
+        assert main(["eval", "--checkpoint", bad, "--manifest", manifest_path]) == 2
+        assert "non-finite" in capsys.readouterr().err
 
 
 class TestPredict:
@@ -276,6 +293,48 @@ class TestPredict:
         assert main(args + ["--out", str(tmp_path / "p2")]) == 0
         assert (tmp_path / "p1.dm").read_bytes() == (tmp_path / "p2.dm").read_bytes()
         assert (tmp_path / "p1.pgm").read_bytes() == (tmp_path / "p2.pgm").read_bytes()
+
+    def _predict(self, trained, tmp_path, ckpt):
+        root, manifest_path, _, _ = trained
+        image = io_formats.load_manifest(manifest_path).items[0].image
+        prefix = tmp_path / "pred"
+        code = main(["predict", "--checkpoint", ckpt,
+                     "--image", os.path.join(root, image), "--out", str(prefix)])
+        assert not os.path.exists(str(prefix) + ".dm")
+        return code
+
+    def test_missing_parameter_exits_1(self, trained, tmp_path, capsys):
+        _, _, _, out_dir = trained
+        params = load_checkpoint(os.path.join(out_dir, "final.ck"))
+        del params["fn.conv2.weight"]
+        bad = str(tmp_path / "bad.ck")
+        save_checkpoint(params, bad)
+        assert self._predict(trained, tmp_path, bad) == 1
+        assert "fn.conv2.weight" in capsys.readouterr().err
+
+    def test_other_arch_exits_1(self, trained, tmp_path, capsys):
+        tiny = str(tmp_path / "tiny.ck")
+        save_checkpoint(init_params(Arch.tiny(), np.random.default_rng(0)), tiny)
+        assert self._predict(trained, tmp_path, tiny) == 1
+        assert "shape" in capsys.readouterr().err
+
+    def test_nan_checkpoint_exits_2(self, trained, tmp_path, capsys):
+        _, _, _, out_dir = trained
+        bad = nan_checkpoint(os.path.join(out_dir, "final.ck"), tmp_path)
+        assert self._predict(trained, tmp_path, bad) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+
+class TestThreadCap:
+    def test_any_saan_import_applies_the_cap(self):
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        src = os.path.dirname(os.path.dirname(os.path.abspath(saan.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env["SAAN_THREADS"] = "1"
+        code = "import saan.train, os; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert done.stdout.strip() == "1"
 
 
 class TestGradcheck:

@@ -56,6 +56,13 @@ class TestPgm:
         with pytest.raises(CodecError, match="maxval"):
             io_formats.read_pgm(path)
 
+    @pytest.mark.parametrize("dims", [b"-4 -4", b"0 3", b"3 0"])
+    def test_non_positive_dimensions_report_offset(self, tmp_path, dims):
+        path = tmp_path / "g.pgm"
+        path.write_bytes(b"P5\n" + dims + b"\n255\n" + bytes(16))
+        with pytest.raises(CodecError, match="dimensions must be positive.*offset"):
+            io_formats.read_pgm(path)
+
 
 class TestAnnotations:
     def test_round_trip_exact(self, rng, tmp_path):
@@ -156,6 +163,19 @@ class TestManifest:
         path = tmp_path / "manifest.json"
         path.write_text('{"items":[],"bins":null,"extra":1}')
         with pytest.raises(ManifestError):
+            io_formats.load_manifest(path)
+
+    @pytest.mark.parametrize("bins", [
+        '{"global": 5, "local": [0, 1]}',
+        '{"global": ["a", "b"], "local": [0, 1]}',
+        '{"global": [0, true], "local": [0, 1]}',
+        '{"global": [NaN, 1], "local": [0, 1]}',
+        '{"global": [0, 1], "local": [0, 1, 2]}',
+    ])
+    def test_malformed_bins_rejected(self, tmp_path, bins):
+        path = tmp_path / "manifest.json"
+        path.write_text('{"items": [], "bins": ' + bins + "}")
+        with pytest.raises(ManifestError, match="bins"):
             io_formats.load_manifest(path)
 
     def test_invalid_json(self, tmp_path):

@@ -6,7 +6,6 @@ import pytest
 from saan import losses
 from saan.errors import ShapeError
 from saan.gradcheck import grad_check
-from saan.losses import LossWeights
 
 
 @pytest.fixture
@@ -109,13 +108,28 @@ class TestLossLsa:
 
 
 class TestLossFinal:
+    def _report(self, lambda_g, lambda_l):
+        from saan.network import ForwardOutputs
+
+        # l_dm = 0.5 * (1 + 1) = 1; zero logits give l_gsa = l_lsa = log 3
+        out = ForwardOutputs(
+            density=np.ones((1, 1, 1, 2)), global_scores=None,
+            global_logits=np.zeros((2, 3)), local_maps=None,
+            local_logits=np.zeros((1, 3, 2, 2)), features=(),
+        )
+        report, _ = losses.total_loss(out, np.zeros((1, 1, 1, 2)), np.array([1, 3]),
+                                      np.full((1, 2, 2), 2), lambda_g, lambda_l)
+        return report
+
     def test_weighted_sum(self):
-        w = LossWeights(lambda_g=0.1, lambda_l=0.1)
-        assert losses.loss_final(1.0, 2.0, 3.0, w) == pytest.approx(1.5)
+        report = self._report(0.1, 0.3)
+        assert report.l_dm == 1.0
+        assert report.l_final == pytest.approx(1.0 + 0.4 * np.log(3.0))
 
     def test_zero_weights_reduce_to_dm(self):
-        w = LossWeights(lambda_g=0.0, lambda_l=0.0)
-        assert losses.loss_final(0.75, 9.0, 4.0, w) == 0.75
+        report = self._report(0.0, 0.0)
+        assert report.l_gsa > 0 and report.l_lsa > 0
+        assert report.l_final == report.l_dm
 
 
 class TestTotalLoss:

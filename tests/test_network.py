@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from saan import network, ops, params
+from saan import layers, network, ops, params
 from saan.errors import CodecError, InventoryError, ShapeError
 from saan.network import Arch
 
@@ -29,31 +29,33 @@ def full():
     return arch, p
 
 
+def subnet(x, p, arch, prefix):
+    """Run one sub-network straight through the layer engine."""
+    spec = {name: spec for name, spec, _ in arch.subnets()}[prefix]
+    return layers.seq_forward(x, p, prefix, spec)[0]
+
+
 class TestMfe:
     def test_full_arch_shapes_and_depths(self, rng, full):
         arch, p = full
         x = rng.uniform(0, 1, (1, 1, 64, 64)).astype(np.float32)
-        f1, f2, f3 = network.mfe_forward(x, p, arch)
+        f1, f2, f3 = network.model_forward(x, p, arch).features
         assert f1.shape == (1, 24, 16, 16)
         assert f2.shape == (1, 16, 16, 16)
         assert f3.shape == (1, 8, 16, 16)
 
     def test_zero_input_gives_zero_features(self, tiny):
         arch, p = tiny
-        feats = network.mfe_forward(np.zeros((1, 1, 16, 16), dtype=np.float32), p, arch)
-        for f in feats:
+        x = np.zeros((1, 1, 16, 16), dtype=np.float32)
+        for f in network.model_forward(x, p, arch).features:
             np.testing.assert_array_equal(f, np.zeros_like(f))
-
-    def test_indivisible_dims_raise(self, rng, tiny):
-        arch, p = tiny
-        with pytest.raises(ShapeError, match="pad"):
-            network.mfe_forward(rng.uniform(0, 1, (1, 1, 18, 16)), p, arch)
 
 
 class TestGsa:
     def test_rows_sum_to_one(self, rng, tiny):
         arch, p = tiny
-        g, logits = network.gsa_forward(rng.uniform(0, 1, (3, 1, 16, 16)), p, arch)
+        out = network.model_forward(rng.uniform(0, 1, (3, 1, 16, 16)), p, arch)
+        g, logits = out.global_scores, out.global_logits
         assert g.shape == (3, 3) and logits.shape == (3, 3)
         np.testing.assert_allclose(g.sum(axis=1), np.ones(3), atol=1e-6)
 
@@ -62,25 +64,26 @@ class TestGsa:
         p = dict(p)
         p["gsa.fc1.weight"] = np.zeros_like(p["gsa.fc1.weight"])
         p["gsa.fc1.bias"] = np.zeros_like(p["gsa.fc1.bias"])
-        g, _ = network.gsa_forward(rng.uniform(0, 1, (2, 1, 16, 16)), p, arch)
+        g = network.model_forward(rng.uniform(0, 1, (2, 1, 16, 16)), p, arch).global_scores
         np.testing.assert_array_equal(g, np.full((2, 3), 1.0 / 3.0))
 
     def test_size_independence(self, rng, tiny):
         arch, p = tiny
         for hw in ((16, 16), (24, 36), (9, 11)):
-            g, _ = network.gsa_forward(rng.uniform(0, 1, (1, 1) + hw), p, arch)
+            g = network.model_forward(rng.uniform(0, 1, (1, 1) + hw), p, arch).global_scores
             assert g.shape == (1, 3)
 
     def test_too_small_raises(self, rng, tiny):
         arch, p = tiny
         with pytest.raises(ShapeError):
-            network.gsa_forward(rng.uniform(0, 1, (1, 1, 4, 4)), p, arch)
+            network.model_forward(rng.uniform(0, 1, (1, 1, 4, 4)), p, arch)
 
 
 class TestLsa:
     def test_shape_and_range(self, rng, tiny):
         arch, p = tiny
-        l, logits = network.lsa_forward(rng.uniform(0, 1, (2, 1, 16, 24)), p, arch)
+        out = network.model_forward(rng.uniform(0, 1, (2, 1, 16, 24)), p, arch)
+        l, logits = out.local_maps, out.local_logits
         assert l.shape == (2, 3, 4, 6) and logits.shape == l.shape
         assert np.all(l > 0) and np.all(l < 1)
 
@@ -89,7 +92,7 @@ class TestLsa:
         p = dict(p)
         p["lsa.head2.weight"] = np.zeros_like(p["lsa.head2.weight"])
         p["lsa.head2.bias"] = np.zeros_like(p["lsa.head2.bias"])
-        l, _ = network.lsa_forward(rng.uniform(0, 1, (1, 1, 16, 16)), p, arch)
+        l = network.model_forward(rng.uniform(0, 1, (1, 1, 16, 16)), p, arch).local_maps
         np.testing.assert_array_equal(l, np.full_like(l, 0.5))
 
 
@@ -97,9 +100,9 @@ class TestAttentionAndFusion:
     def test_attention_identity_and_annihilation(self, rng):
         f = rng.uniform(-1, 1, (2, 4, 5, 5))
         ones_l = np.ones((2, 1, 5, 5))
-        np.testing.assert_array_equal(network.attention_weight(f, np.ones(2), ones_l), f)
+        np.testing.assert_array_equal(ops.scale_broadcast_mul(f, np.ones(2), ones_l), f)
         np.testing.assert_array_equal(
-            network.attention_weight(f, np.zeros(2), ones_l), np.zeros_like(f)
+            ops.scale_broadcast_mul(f, np.zeros(2), ones_l), np.zeros_like(f)
         )
 
     def test_attention_matches_brute_force(self, rng):
@@ -107,7 +110,7 @@ class TestAttentionAndFusion:
         g = rng.uniform(0, 1, 2)
         l = rng.uniform(0, 1, (2, 1, 4, 4))
         np.testing.assert_array_equal(
-            network.attention_weight(f, g, l), naive_attention_weight(f, g, l)
+            ops.scale_broadcast_mul(f, g, l), naive_attention_weight(f, g, l)
         )
 
     def test_fusion_upsamples_to_input_size(self, rng, full):
@@ -115,7 +118,7 @@ class TestAttentionAndFusion:
         a1 = rng.uniform(-1, 1, (1, 24, 16, 16)).astype(np.float32)
         a2 = rng.uniform(-1, 1, (1, 16, 16, 16)).astype(np.float32)
         a3 = rng.uniform(-1, 1, (1, 8, 16, 16)).astype(np.float32)
-        d = network.fusion_forward(a1, a2, a3, p, arch)
+        d = subnet(ops.concat_channels([a1, a2, a3]), p, arch, "fn")
         assert d.shape == (1, 1, 64, 64)
 
     def test_fusion_penultimate_depth_16(self, full):
@@ -124,9 +127,10 @@ class TestAttentionAndFusion:
 
     def test_fusion_channel_mismatch(self, rng, full):
         arch, p = full
-        bad = [rng.uniform(-1, 1, (1, c, 8, 8)).astype(np.float32) for c in (24, 16, 4)]
-        with pytest.raises(ShapeError):
-            network.fusion_forward(*bad, p, arch)
+        p = dict(p)
+        p["fn.conv0.weight"] = p["fn.conv0.weight"][:, :44]
+        with pytest.raises(ShapeError, match="in_channel"):
+            network.model_forward(rng.uniform(0, 1, (1, 1, 32, 32)), p, arch)
 
 
 class TestModelForward:
@@ -151,14 +155,14 @@ class TestModelForward:
         out = network.model_forward(x, p, arch, lsa_enabled=False)
         assert out.local_maps is None and out.local_logits is None
 
-        feats = network.mfe_forward(x, p, arch)
-        g, _ = network.gsa_forward(x, p, arch)
+        feats = [subnet(x, p, arch, f"mfe.branch{i}") for i in (1, 2, 3)]
+        g = ops.softmax(subnet(x, p, arch, "gsa"))
         ones_l = np.ones((1, 1, 4, 4))
         weighted = [
-            network.attention_weight(feats[i], np.ascontiguousarray(g[:, i]), ones_l)
+            ops.scale_broadcast_mul(feats[i], np.ascontiguousarray(g[:, i]), ones_l)
             for i in range(3)
         ]
-        manual = network.fusion_forward(*weighted, p, arch)
+        manual = subnet(ops.concat_channels(weighted), p, arch, "fn")
         np.testing.assert_array_equal(out.density, manual)
 
     def test_gsa_disabled_forces_unit_scores(self, rng, tiny):
@@ -167,13 +171,13 @@ class TestModelForward:
         out = network.model_forward(x, p, arch, gsa_enabled=False)
         assert out.global_scores is None and out.global_logits is None
 
-        feats = network.mfe_forward(x, p, arch)
-        l, _ = network.lsa_forward(x, p, arch)
+        feats = [subnet(x, p, arch, f"mfe.branch{i}") for i in (1, 2, 3)]
+        l = ops.sigmoid(subnet(x, p, arch, "lsa"))
         weighted = [
-            network.attention_weight(feats[i], np.ones(1), l[:, i : i + 1])
+            ops.scale_broadcast_mul(feats[i], np.ones(1), l[:, i : i + 1])
             for i in range(3)
         ]
-        manual = network.fusion_forward(*weighted, p, arch)
+        manual = subnet(ops.concat_channels(weighted), p, arch, "fn")
         np.testing.assert_array_equal(out.density, manual)
 
     def test_deterministic(self, rng, tiny):
