@@ -78,10 +78,11 @@ def _proj_loss(y, r):
 
 
 def _check_conv2d(rng):
-    x = rng.uniform(-1, 1, (1, 2, 5, 5))
-    w = rng.uniform(-1, 1, (3, 2, 3, 3))
+    # batch 2, k 5 on a non-square map: col2im taps past 3x3 hit both edges
+    x = rng.uniform(-1, 1, (2, 2, 5, 7))
+    w = rng.uniform(-1, 1, (3, 2, 5, 5))
     b = rng.uniform(-1, 1, 3)
-    r = rng.uniform(-1, 1, (1, 3, 5, 5))
+    r = rng.uniform(-1, 1, (2, 3, 5, 7))
 
     def f(x_, w_, b_):
         y = ops.conv2d(x_, w_, b_)

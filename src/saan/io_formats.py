@@ -214,6 +214,11 @@ def load_manifest(path):
             raise ManifestError(
                 f"{path}: item {i} must have exactly the keys image/ann/split"
             )
+        for key in ("image", "ann"):
+            if not isinstance(rec[key], str) or not rec[key]:
+                raise ManifestError(
+                    f"{path}: item {i} {key!r} must be a non-empty path string, got {rec[key]!r}"
+                )
         if rec["split"] not in SPLITS:
             raise ManifestError(
                 f"{path}: item {i} has split {rec['split']!r}, expected one of {SPLITS}"

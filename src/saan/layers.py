@@ -11,7 +11,9 @@ Sub-networks are declared as lists of layer specs:
 Parameters live in a flat name->array map under "<prefix>.<layer>.weight"
 / ".bias". Pools auto-pad odd inputs with zeros on the bottom/right edge
 (the backward crops the gradient, so this is gradient-exact). The engine
-returns per-layer caches that the matching backward consumes.
+returns per-layer caches that the matching backward consumes; a stack
+that reads the image is walked back with input_grad=False, so its first
+layer computes no input gradient.
 """
 
 import numpy as np
@@ -101,17 +103,23 @@ def seq_forward(x, params, prefix, spec):
     return x, caches
 
 
-def seq_backward(gy, caches, params):
-    """Walk the caches in reverse; returns (input grad, param grads)."""
+def seq_backward(gy, caches, params, input_grad=True):
+    """Walk the caches in reverse; returns (input grad, param grads).
+
+    input_grad=False tells the first layer that its input gradient is not
+    used (the stack reads the raw image); a weighted first layer then
+    skips it and None is returned in its place.
+    """
     weighted = {"conv": ops.conv2d_backward, "deconv": ops.conv2d_transpose_backward,
                 "fc": ops.fully_connected_backward}
     grads = {}
-    for cache in reversed(caches):
+    for i, cache in reversed(list(enumerate(caches))):
         kind, base = cache[0], cache[1]
         if kind in weighted:
             _, _, x_in, pre, act = cache
             gpre = _act_backward(gy, pre, act)
-            gy, gw, gb = weighted[kind](gpre, x_in, params[f"{base}.weight"])
+            gy, gw, gb = weighted[kind](gpre, x_in, params[f"{base}.weight"],
+                                        input_grad=input_grad or i > 0)
             grads[f"{base}.weight"] = gw
             grads[f"{base}.bias"] = gb
         elif kind == "pool":

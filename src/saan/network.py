@@ -247,7 +247,7 @@ def model_backward(grads_out, out, params, arch=None):
         gf, ggi, gli = ops.scale_broadcast_mul_backward(
             parts[i], out.features[i], np.ascontiguousarray(g[:, i]), l[:, i : i + 1]
         )
-        _, bgrads = seq_backward(gf, c["branch_caches"][i], params)
+        _, bgrads = seq_backward(gf, c["branch_caches"][i], params, input_grad=False)
         grads.update(bgrads)
         gg_cols.append(ggi)
         gl_chans.append(gli)
@@ -257,7 +257,7 @@ def model_backward(grads_out, out, params, arch=None):
         logits_grad = ops.softmax_backward(g_grad, out.global_scores)
         if grads_out.get("global_logits") is not None:
             logits_grad = logits_grad + grads_out["global_logits"]
-        _, gsa_grads = seq_backward(logits_grad, c["gsa_cache"], params)
+        _, gsa_grads = seq_backward(logits_grad, c["gsa_cache"], params, input_grad=False)
         grads.update(gsa_grads)
 
     if c["lsa_enabled"]:
@@ -265,7 +265,7 @@ def model_backward(grads_out, out, params, arch=None):
         logits_grad = ops.sigmoid_backward(l_grad, out.local_maps)
         if grads_out.get("local_logits") is not None:
             logits_grad = logits_grad + grads_out["local_logits"]
-        _, lsa_grads = seq_backward(logits_grad, c["lsa_cache"], params)
+        _, lsa_grads = seq_backward(logits_grad, c["lsa_cache"], params, input_grad=False)
         grads.update(lsa_grads)
 
     return grads

@@ -2,10 +2,17 @@
 
 Activations use the N x C x H x W layout. Forward functions are pure;
 each backward takes the upstream gradient plus whatever forward inputs
-it needs and returns exact analytic gradients. Convolutions are stride-1
-"same" with odd kernels so spatial dims are preserved; the transposed
-convolution is fixed at kernel 4 / stride 2 / padding 1 (exact x2
-upsampling). Heavy lifting is routed through matmul on im2col buffers.
+it needs and returns exact analytic gradients; with input_grad=False a
+weighted op's backward skips the input gradient and returns None for it.
+Convolutions are stride-1 "same" with odd kernels so spatial dims are
+preserved; the transposed convolution is fixed at kernel 4 / stride 2 /
+padding 1 (exact x2 upsampling).
+
+Convolution runs on one channel-major patch layout, [C*k*k, N*H*W]
+(im2col): the forward is W @ cols, the weight gradient gy @ cols^T, and
+the input gradient W^T @ gy scattered back with one shifted add per
+kernel tap (col2im). conv2d returns an [N,C,H,W] view of a [C,N,H,W]
+buffer, so the gy that comes back through it is already channel-major.
 """
 
 import numpy as np
@@ -35,11 +42,16 @@ def _check_conv_args(x, w, b, weight_layout):
 
 
 def _im2col(xp, k):
-    """[N,C,Hp,Wp] zero-padded input -> [N*Ho*Wo, C*k*k] patch matrix."""
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))  # [N,C,Ho,Wo,k,k]
-    n, c, ho, wo = win.shape[:4]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, c * k * k)
-    return np.ascontiguousarray(cols), (n, ho, wo)
+    """[N,C,Hp,Wp] zero-padded input -> [C*k*k, N*Ho*Wo] patch matrix;
+    row (c, dy, dx) is channel c shifted by one tap, copied a row at a time."""
+    n, c, hp, wp = xp.shape
+    ho, wo = hp - k + 1, wp - k + 1
+    xc = xp.transpose(1, 0, 2, 3)
+    cols = np.empty((c, k, k, n, ho, wo), dtype=xp.dtype)
+    for dy in range(k):
+        for dx in range(k):
+            cols[:, dy, dx] = xc[:, :, dy : dy + ho, dx : dx + wo]
+    return cols.reshape(c * k * k, n * ho * wo)
 
 
 def conv2d(x, w, b):
@@ -52,31 +64,34 @@ def conv2d(x, w, b):
     n, _, h, wd = x.shape
     cout = w.shape[0]
     xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-    cols, _ = _im2col(xp, k)
-    y = cols @ w.reshape(cout, -1).T
-    y = y.reshape(n, h, wd, cout).transpose(0, 3, 1, 2)
-    return y + b.reshape(1, -1, 1, 1)
+    # allocated before the patch matrix, so freeing that leaves no heap
+    # hole under the live output (keeps peak RSS steady at large images)
+    y = np.empty((cout, n * h * wd), dtype=np.result_type(x, w, b))
+    np.matmul(w.reshape(cout, -1), _im2col(xp, k), out=y)
+    y += b[:, None]
+    return y.reshape(cout, n, h, wd).transpose(1, 0, 2, 3)
 
 
-def conv2d_backward(gy, x, w):
+def conv2d_backward(gy, x, w, input_grad=True):
     """Gradients of conv2d w.r.t. (input, weights, bias)."""
     k = w.shape[2]
     p = (k - 1) // 2
     n, cin, h, wd = x.shape
     cout = w.shape[0]
-    gb = gy.sum(axis=(0, 2, 3))
-
+    gy_cm = np.ascontiguousarray(gy.transpose(1, 0, 2, 3)).reshape(cout, -1)
+    gb = gy_cm.sum(axis=1)
     xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-    cols_x, _ = _im2col(xp, k)
-    gy_mat = np.ascontiguousarray(gy.transpose(0, 2, 3, 1).reshape(-1, cout))
-    gw = (gy_mat.T @ cols_x).reshape(cout, cin, k, k)
+    gw = (gy_cm @ _im2col(xp, k).T).reshape(cout, cin, k, k)
+    if not input_grad:
+        return None, gw, gb
 
-    # input grad: full correlation of gy with the flipped kernel
-    gyp = np.pad(gy, ((0, 0), (0, 0), (p, p), (p, p))) if p else gy
-    cols_gy, _ = _im2col(gyp, k)
-    wf = w[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(cout * k * k, cin)
-    gx = (cols_gy @ wf).reshape(n, h, wd, cin).transpose(0, 3, 1, 2)
-    return np.ascontiguousarray(gx), gw, gb
+    wt = w.transpose(2, 3, 1, 0).reshape(k * k * cin, cout)
+    gcols = (wt @ gy_cm).reshape(k, k, cin, n, h, wd)
+    gxp = np.zeros((cin, n, h + 2 * p, wd + 2 * p), dtype=gcols.dtype)
+    for dy in range(k):
+        for dx in range(k):
+            gxp[:, :, dy : dy + h, dx : dx + wd] += gcols[dy, dx]
+    return gxp[:, :, p : p + h, p : p + wd].transpose(1, 0, 2, 3), gw, gb
 
 
 def conv2d_transpose(x, w, b):
@@ -104,15 +119,16 @@ def _deconv_windows(gy):
     return sliding_window_view(gyp, (4, 4), axis=(2, 3))[:, :, ::2, ::2]
 
 
-def conv2d_transpose_backward(gy, x, w):
+def conv2d_transpose_backward(gy, x, w, input_grad=True):
     """Gradients of conv2d_transpose w.r.t. (input, weights, bias)."""
     n, cin, h, wd = x.shape
-    cout = w.shape[1]
     gb = gy.sum(axis=(0, 2, 3))
     win = _deconv_windows(gy)  # [N,Cout,H,W,4,4]
+    gw = np.tensordot(x, win, axes=([0, 2, 3], [0, 2, 3]))  # [Cin,Cout,4,4]
+    if not input_grad:
+        return None, gw, gb
     cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * h * wd, -1)
     gx = (cols @ w.reshape(cin, -1).T).reshape(n, h, wd, cin).transpose(0, 3, 1, 2)
-    gw = np.tensordot(x, win, axes=([0, 2, 3], [0, 2, 3]))  # [Cin,Cout,4,4]
     return np.ascontiguousarray(gx), gw, gb
 
 
@@ -154,8 +170,8 @@ def fully_connected(x, w, b):
     return x @ w + b
 
 
-def fully_connected_backward(gy, x, w):
-    return gy @ w.T, x.T @ gy, gy.sum(axis=0)
+def fully_connected_backward(gy, x, w, input_grad=True):
+    return (gy @ w.T if input_grad else None), x.T @ gy, gy.sum(axis=0)
 
 
 def relu(x):

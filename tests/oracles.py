@@ -30,6 +30,33 @@ def naive_conv2d(x, w, b):
     return out
 
 
+def naive_conv2d_backward(gy, x, w):
+    """Adjoint of naive_conv2d: every (output position, input channel,
+    kernel tap) term of the forward sum sends gy back to the input pixel
+    and the weight it multiplied. Returns (gx, gw, gb)."""
+    n, cin, h, wd = x.shape
+    cout, _, k, _ = w.shape
+    p = (k - 1) // 2
+    gx = np.zeros_like(x)
+    gw = np.zeros_like(w)
+    gb = np.zeros(cout, dtype=gy.dtype)
+    for ni in range(n):
+        for co in range(cout):
+            for hi in range(h):
+                for wi in range(wd):
+                    g = gy[ni, co, hi, wi]
+                    gb[co] += g
+                    for ci in range(cin):
+                        for dy in range(k):
+                            for dx in range(k):
+                                sy = hi + dy - p
+                                sx = wi + dx - p
+                                if 0 <= sy < h and 0 <= sx < wd:
+                                    gx[ni, ci, sy, sx] += g * w[co, ci, dy, dx]
+                                    gw[co, ci, dy, dx] += g * x[ni, ci, sy, sx]
+    return gx, gw, gb
+
+
 def naive_conv2d_transpose(x, w, b):
     """Transposed conv (kernel 4, stride 2, padding 1) by direct summation
     over every (input position, kernel tap) pair."""

@@ -150,6 +150,15 @@ class TestPrepare:
         assert code == 1
         assert "degenerate" in capsys.readouterr().err
 
+    def test_non_string_image_path_exits_1(self, tmp_path, capsys):
+        manifest_path = tmp_path / "manifest.json"
+        manifest_path.write_text(
+            '{"items":[{"image":5,"ann":"anns/a.txt","split":"train"}],"bins":null}'
+        )
+        assert main(["prepare", "--manifest", str(manifest_path)]) == 1
+        err = capsys.readouterr().err
+        assert "'image'" in err and "Traceback" not in err
+
 
 class TestLoadConfig:
     def test_defaults_fill_in(self, tmp_path):

@@ -165,6 +165,17 @@ class TestManifest:
         with pytest.raises(ManifestError):
             io_formats.load_manifest(path)
 
+    @pytest.mark.parametrize("image, ann", [
+        ("5", '"b"'), ('"a"', "null"), ('""', '"b"'), ('"a"', '["b"]'),
+    ])
+    def test_non_string_paths_rejected(self, tmp_path, image, ann):
+        path = tmp_path / "manifest.json"
+        path.write_text(
+            '{"items":[{"image":' + image + ',"ann":' + ann + ',"split":"train"}],"bins":null}'
+        )
+        with pytest.raises(ManifestError, match="item 0"):
+            io_formats.load_manifest(path)
+
     @pytest.mark.parametrize("bins", [
         '{"global": 5, "local": [0, 1]}',
         '{"global": ["a", "b"], "local": [0, 1]}',

@@ -188,6 +188,35 @@ class TestModelForward:
         np.testing.assert_array_equal(d1, d2)
 
 
+class TestModelBackward:
+    def test_image_input_layers_skip_input_gradient(self, rng, tiny, monkeypatch):
+        arch, p = tiny
+        by_weight = {id(v): k[: -len(".weight")] for k, v in p.items() if k.endswith(".weight")}
+        calls = {}
+        real = ops.conv2d_backward
+
+        def recording(gy, x, w, input_grad=True):
+            calls[by_weight[id(w)]] = input_grad
+            return real(gy, x, w, input_grad=input_grad)
+
+        monkeypatch.setattr(ops, "conv2d_backward", recording)
+        x = rng.uniform(0, 1, (2, 1, 16, 16))
+        out = network.model_forward(x, p, arch)
+        grads_out = {"density": np.ones_like(out.density),
+                     "global_logits": np.ones_like(out.global_logits),
+                     "local_logits": np.ones_like(out.local_logits)}
+        grads = network.model_backward(grads_out, out, p, arch)
+
+        image_input = {"mfe.branch1.conv0", "mfe.branch2.conv0", "mfe.branch3.conv0",
+                       "gsa.conv0", "lsa.conv0"}
+        conv_layers = {
+            f"{prefix}.{e[0]}" for prefix, spec, _ in arch.subnets() for e in spec if e[1] == "conv"
+        }
+        assert set(calls) == conv_layers
+        assert {layer for layer, flag in calls.items() if not flag} == image_input
+        assert set(grads) == set(p)
+
+
 class TestCount:
     def test_zero_map(self):
         np.testing.assert_array_equal(

@@ -13,6 +13,7 @@ from oracles import (
     naive_attention_weight,
     naive_box_sum,
     naive_conv2d,
+    naive_conv2d_backward,
     naive_conv2d_transpose,
     naive_maxpool2,
 )
@@ -47,6 +48,22 @@ class TestConv2d:
             w = dyadic(rng, (3, 2, 3, 3))
             b = dyadic(rng, 3)
             np.testing.assert_array_equal(ops.conv2d(x, w, b), naive_conv2d(x, w, b))
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    @pytest.mark.parametrize("cin", [1, 3])
+    def test_backward_matches_naive_oracle(self, rng, k, cin):
+        x = dyadic(rng, (2, cin, 5, 7))
+        w = dyadic(rng, (2, cin, k, k))
+        gy = dyadic(rng, (2, 2, 5, 7))
+        gx, gw, gb = ops.conv2d_backward(gy, x, w)
+        ref = naive_conv2d_backward(gy, x, w)
+        for got, want in zip((gx, gw, gb), ref):
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+        skipped = ops.conv2d_backward(gy, x, w, input_grad=False)
+        assert skipped[0] is None
+        assert skipped[1].tobytes() == gw.tobytes()
+        assert skipped[2].tobytes() == gb.tobytes()
 
     def test_preserves_spatial_dims(self, rng):
         for k in (1, 3, 5, 7, 9):
