@@ -36,6 +36,8 @@ def load_config(path):
                 raise ConfigError(f"invalid JSON in config {path}: {exc}")
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must be a JSON object")
     unknown = sorted(set(doc) - set(CONFIG_DEFAULTS))
@@ -176,7 +178,7 @@ def cmd_predict(args):
     image = io_formats.read_pgm(args.image)
     params = load_checkpoint(args.checkpoint)
     validate_inventory(params, Arch.default())
-    out = model_forward(image[None, None, :, :], params)
+    out = model_forward(image[None, None, :, :], params, keep_caches=False)
     density = out.density[0, 0].astype(np.float32)
     if not np.all(np.isfinite(density)):
         raise TrainingError(f"checkpoint {args.checkpoint} gives a non-finite density map")
@@ -266,7 +268,8 @@ def cmd_ablate(args):
     for name, flags in _MODEL_VARIANTS:
         params, row = _run_ablation_variant(manifest, config, base, "model", name, flags)
         if name == "base":
-            # the disabled-attention contract: both tensors identically one
+            # the disabled-attention contract: both tensors identically one;
+            # g and l are read from the caches, so this forward keeps them
             item = manifest.split_items("test")[0]
             image = io_formats.read_pgm(os.path.join(base, item.image))
             out = model_forward(image[None, None, :, :], params,

@@ -92,10 +92,12 @@ def _check_conv2d(rng):
 
 
 def _check_conv2d_transpose(rng):
-    x = rng.uniform(-1, 1, (1, 2, 3, 3))
-    w = rng.uniform(-1, 1, (2, 2, 4, 4))
+    # batch 2, cin != cout on a non-square map: the GEMM's [Cout*16] row
+    # layout and every tap's strided add both show in the gradients
+    x = rng.uniform(-1, 1, (2, 3, 3, 5))
+    w = rng.uniform(-1, 1, (3, 2, 4, 4))
     b = rng.uniform(-1, 1, 2)
-    r = rng.uniform(-1, 1, (1, 2, 6, 6))
+    r = rng.uniform(-1, 1, (2, 2, 6, 10))
 
     def f(x_, w_, b_):
         y = ops.conv2d_transpose(x_, w_, b_)

@@ -10,9 +10,12 @@
                live at <manifest dir>/density/<image stem>.dm.
 
 All loaders fail with structured errors (byte offsets for binary
-formats, line numbers for text) instead of propagating junk.
+formats, line numbers for text) instead of propagating junk. Density
+maps, manifests and checkpoints are written through atomic_open, so a
+failed write leaves the previous file as it was.
 """
 
+import contextlib
 import json
 import os
 import struct
@@ -26,6 +29,22 @@ from .errors import AnnotationError, CodecError, ManifestError
 
 DENSITY_MAGIC = b"SAANDM1\n"
 SPLITS = ("train", "val", "test")
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode, **kwargs):
+    """Open a temporary file beside path for writing. It replaces path
+    (os.replace) when the block ends and is removed if the block raises,
+    so path holds either its old bytes or the whole new file."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 # ---------------------------------------------------------------- PGM
@@ -97,18 +116,22 @@ def write_annotations(path, points):
 
 def read_annotations(path):
     points = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise AnnotationError(f"{path}:{lineno}: expected 'x,y', got {line!r}")
-            try:
-                points.append((float(parts[0]), float(parts[1])))
-            except ValueError:
-                raise AnnotationError(f"{path}:{lineno}: non-numeric coordinate in {line!r}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise AnnotationError(f"{path}: not UTF-8 text: {exc}")
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise AnnotationError(f"{path}:{lineno}: expected 'x,y', got {line!r}")
+        try:
+            points.append((float(parts[0]), float(parts[1])))
+        except ValueError:
+            raise AnnotationError(f"{path}:{lineno}: non-numeric coordinate in {line!r}")
     return np.array(points, dtype=np.float64).reshape(-1, 2)
 
 
@@ -118,7 +141,7 @@ def save_density(path, density):
     arr = np.asarray(density)
     if arr.ndim != 2:
         raise CodecError(f"density maps are 2-D, got rank {arr.ndim}")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(DENSITY_MAGIC)
         fh.write(struct.pack("<II", arr.shape[0], arr.shape[1]))
         fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
@@ -183,7 +206,7 @@ def save_manifest(path, manifest):
             "local": [manifest.bins.local_min, manifest.bins.local_max],
         },
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
@@ -201,6 +224,8 @@ def load_manifest(path):
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ManifestError(f"{path}: not valid JSON: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"{path}: not UTF-8 text: {exc}")
     if not isinstance(doc, dict) or set(doc) != {"items", "bins"}:
         raise ManifestError(
             f"{path}: manifest must contain exactly the keys 'items' and 'bins', "

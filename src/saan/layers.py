@@ -13,7 +13,8 @@ Parameters live in a flat name->array map under "<prefix>.<layer>.weight"
 (the backward crops the gradient, so this is gradient-exact). The engine
 returns per-layer caches that the matching backward consumes; a stack
 that reads the image is walked back with input_grad=False, so its first
-layer computes no input gradient.
+layer computes no input gradient. With keep_caches=False (inference) no
+cache is kept, pools compute no argmax, and None is returned for caches.
 """
 
 import numpy as np
@@ -73,30 +74,33 @@ def _act_backward(gy, pre, act):
     return gy
 
 
-def seq_forward(x, params, prefix, spec):
-    """Run the stack; returns (output, caches) for seq_backward."""
+def seq_forward(x, params, prefix, spec, keep_caches=True):
+    """Run the stack; returns (output, caches) for seq_backward, or
+    (output, None) when keep_caches is False."""
     # looked up per call so a wrapped ops function is seen by the engine
     weighted = {"conv": ops.conv2d, "deconv": ops.conv2d_transpose,
                 "fc": ops.fully_connected}
-    caches = []
+    caches = [] if keep_caches else None
     for entry in spec:
         name, kind = entry[0], entry[1]
         base = f"{prefix}.{name}"
         if kind in weighted:
             act = entry[-1]
             pre = weighted[kind](x, params[f"{base}.weight"], params[f"{base}.bias"])
-            caches.append((kind, base, x, pre, act))
+            if keep_caches:
+                caches.append((kind, base, x, pre, act))
             x = _apply_act(pre, act)
         elif kind == "pool":
             orig_shape = x.shape
             xp = _pad_to_even(x)
-            y, idx = ops.maxpool2(xp)
-            caches.append((kind, base, orig_shape, xp.shape, idx))
-            x = y
+            x, idx = ops.maxpool2(xp, index=keep_caches)
+            if keep_caches:
+                caches.append((kind, base, orig_shape, xp.shape, idx))
         elif kind == "gap":
             if x.ndim != 4:
                 raise ShapeError(f"gap expects [N,C,H,W], got rank {x.ndim}")
-            caches.append((kind, base, x.shape, None, None))
+            if keep_caches:
+                caches.append((kind, base, x.shape, None, None))
             x = x.mean(axis=(2, 3))
         else:
             raise ValueError(f"unknown layer kind {kind!r}")

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import ops
-from .errors import ShapeError
+from .errors import SaanError, ShapeError
 from .layers import seq_backward, seq_forward
 
 
@@ -139,15 +139,18 @@ class ForwardOutputs:
     local_maps: Optional[np.ndarray]     # [N,3,H/4,W/4] post-sigmoid
     local_logits: Optional[np.ndarray]
     features: tuple                      # (f1,f2,f3) at H/4 x W/4
-    cache: dict = field(default_factory=dict, repr=False)
+    cache: dict = field(default_factory=dict, repr=False)  # empty if not kept
 
 
-def model_forward(image, params, arch=None, lsa_enabled=True, gsa_enabled=True):
+def model_forward(image, params, arch=None, lsa_enabled=True, gsa_enabled=True,
+                  keep_caches=True):
     """Full pipeline. Pads H,W (reflect) to multiples of 4, crops back.
 
     lsa_enabled=False forces l to all-ones (training phase 1);
     gsa_enabled=False likewise forces g to 1 (ablation variants).
-    Returns ForwardOutputs with caches for model_backward.
+    Returns ForwardOutputs with caches for model_backward; with
+    keep_caches=False (inference) no layer cache is kept and the outputs
+    cannot be walked back.
     """
     arch = arch or Arch.default()
     if image.ndim != 4 or image.shape[1] != 1:
@@ -167,12 +170,12 @@ def model_forward(image, params, arch=None, lsa_enabled=True, gsa_enabled=True):
     branch_caches = []
     for i in range(1, 4):
         prefix = f"mfe.branch{i}"
-        f, c = seq_forward(xp, params, prefix, specs[prefix])
+        f, c = seq_forward(xp, params, prefix, specs[prefix], keep_caches)
         feats.append(f)
         branch_caches.append(c)
 
     if gsa_enabled:
-        global_logits, gsa_cache = seq_forward(xp, params, "gsa", specs["gsa"])
+        global_logits, gsa_cache = seq_forward(xp, params, "gsa", specs["gsa"], keep_caches)
         g = ops.softmax(global_logits)
     else:
         global_logits, gsa_cache = None, None
@@ -180,7 +183,7 @@ def model_forward(image, params, arch=None, lsa_enabled=True, gsa_enabled=True):
 
     h4, w4 = feats[0].shape[2], feats[0].shape[3]
     if lsa_enabled:
-        local_logits, lsa_cache = seq_forward(xp, params, "lsa", specs["lsa"])
+        local_logits, lsa_cache = seq_forward(xp, params, "lsa", specs["lsa"], keep_caches)
         l = ops.sigmoid(local_logits)
     else:
         local_logits, lsa_cache = None, None
@@ -191,7 +194,7 @@ def model_forward(image, params, arch=None, lsa_enabled=True, gsa_enabled=True):
         for i in range(3)
     ]
     cat = ops.concat_channels(weighted)
-    density_pad, fn_cache = seq_forward(cat, params, "fn", specs["fn"])
+    density_pad, fn_cache = seq_forward(cat, params, "fn", specs["fn"], keep_caches)
     density = density_pad[:, :, :h, :w]
 
     return ForwardOutputs(
@@ -212,7 +215,7 @@ def model_forward(image, params, arch=None, lsa_enabled=True, gsa_enabled=True):
             "orig_hw": (h, w),
             "lsa_enabled": lsa_enabled,
             "gsa_enabled": gsa_enabled,
-        },
+        } if keep_caches else {},
     )
 
 
@@ -226,6 +229,8 @@ def model_backward(grads_out, out, params, arch=None):
     """
     arch = arch or Arch.default()
     c = out.cache
+    if not c:
+        raise SaanError("model_backward needs a forward pass run with keep_caches=True")
     h, w = c["orig_hw"]
     hp, wp = c["padded_hw"]
     g, l = c["g"], c["l"]

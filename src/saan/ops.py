@@ -13,12 +13,20 @@ Convolution runs on one channel-major patch layout, [C*k*k, N*H*W]
 the input gradient W^T @ gy scattered back with one shifted add per
 kernel tap (col2im). conv2d returns an [N,C,H,W] view of a [C,N,H,W]
 buffer, so the gy that comes back through it is already channel-major.
+
+The forward convolutions never hold a whole-image GEMM operand: conv2d
+builds its patch matrix, and conv2d_transpose its [Cout*16, .] product,
+in blocks of whole images or of one image's rows that stay within
+_PATCH_BYTES (about an L2 cache), each written straight into the output.
 """
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError
+
+# byte cap of one block of a forward conv's GEMM operand (see module doc)
+_PATCH_BYTES = 2 << 20
 
 
 def _check_conv_args(x, w, b, weight_layout):
@@ -54,6 +62,23 @@ def _im2col(xp, k):
     return cols.reshape(c * k * k, n * ho * wo)
 
 
+def _row_blocks(n, h, row_bytes):
+    """Split the (image, row) range of an [N,.,H,.] map into blocks whose
+    GEMM operand, row_bytes per row, stays within _PATCH_BYTES: runs of
+    whole images while one image fits, else bands of one image's rows.
+    Yields (n0, n1, r0, r1); the blocks tile the flattened (n, h) index
+    in order, so each is one column range of a [C, N*H*W] matrix."""
+    rows = max(1, _PATCH_BYTES // row_bytes)
+    if rows >= h:
+        step = rows // h
+        for n0 in range(0, n, step):
+            yield n0, min(n, n0 + step), 0, h
+    else:
+        for i in range(n):
+            for r0 in range(0, h, rows):
+                yield i, i + 1, r0, min(h, r0 + rows)
+
+
 def conv2d(x, w, b):
     """Stride-1 same-padding convolution. x: [N,Cin,H,W], w: [Cout,Cin,k,k]."""
     _check_conv_args(x, w, b, "oikk")
@@ -61,14 +86,16 @@ def conv2d(x, w, b):
     if k % 2 != 1:
         raise ShapeError(f"kernel size must be odd for same padding, got {k}")
     p = (k - 1) // 2
-    n, _, h, wd = x.shape
+    n, cin, h, wd = x.shape
     cout = w.shape[0]
     xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-    # allocated before the patch matrix, so freeing that leaves no heap
-    # hole under the live output (keeps peak RSS steady at large images)
     y = np.empty((cout, n * h * wd), dtype=np.result_type(x, w, b))
-    np.matmul(w.reshape(cout, -1), _im2col(xp, k), out=y)
-    y += b[:, None]
+    w2 = w.reshape(cout, -1)
+    for n0, n1, r0, r1 in _row_blocks(n, h, cin * k * k * wd * xp.itemsize):
+        cols = _im2col(xp[n0:n1, :, r0 : r1 + 2 * p], k)
+        blk = y[:, (n0 * h + r0) * wd : ((n1 - 1) * h + r1) * wd]
+        np.matmul(w2, cols, out=blk)
+        blk += b[:, None]
     return y.reshape(cout, n, h, wd).transpose(1, 0, 2, 3)
 
 
@@ -99,18 +126,29 @@ def conv2d_transpose(x, w, b):
 
     x: [N,Cin,H,W], w: [Cin,Cout,4,4] -> [N,Cout,2H,2W]. Exact adjoint of
     the corresponding stride-2 convolution, so spatial dims double.
+
+    One GEMM per block, W[Cin, Cout*16]^T @ x, gives every tap's
+    contribution; tap (ky, kx) of input pixel (i, j) lands on padded output
+    pixel (ky + 2i, kx + 2j), one strided add per tap. Blocks that meet
+    at a seam both add into its output rows.
     """
     _check_conv_args(x, w, b, "iokk")
     if w.shape[2] != 4:
         raise ShapeError(f"transposed conv kernel is fixed at 4, got {w.shape[2]}")
-    n, _, h, wd = x.shape
+    n, cin, h, wd = x.shape
     cout = w.shape[1]
-    buf = np.zeros((n, cout, 2 * h + 2, 2 * wd + 2), dtype=x.dtype)
-    for ky in range(4):
-        for kx in range(4):
-            t = np.tensordot(x, w[:, :, ky, kx], axes=([1], [0]))  # [N,H,W,Cout]
-            buf[:, :, ky : ky + 2 * h : 2, kx : kx + 2 * wd : 2] += t.transpose(0, 3, 1, 2)
-    return buf[:, :, 1 : 2 * h + 1, 1 : 2 * wd + 1] + b.reshape(1, -1, 1, 1)
+    x_cm = x.transpose(1, 0, 2, 3).reshape(cin, n * h * wd)
+    wt = w.reshape(cin, cout * 16).T
+    buf = np.zeros((cout, n, 2 * h + 2, 2 * wd + 2), dtype=np.result_type(x, w, b))
+    for n0, n1, r0, r1 in _row_blocks(n, h, cout * 16 * wd * buf.itemsize):
+        t = wt @ x_cm[:, (n0 * h + r0) * wd : ((n1 - 1) * h + r1) * wd]
+        t = t.reshape(cout, 4, 4, n1 - n0, r1 - r0, wd)
+        for ky in range(4):
+            for kx in range(4):
+                buf[:, n0:n1, ky + 2 * r0 : ky + 2 * r1 : 2, kx : kx + 2 * wd : 2] += t[:, ky, kx]
+    y = buf[:, :, 1 : 2 * h + 1, 1 : 2 * wd + 1]
+    y += b[:, None, None, None]
+    return y.transpose(1, 0, 2, 3)
 
 
 def _deconv_windows(gy):
@@ -132,21 +170,28 @@ def conv2d_transpose_backward(gy, x, w, input_grad=True):
     return np.ascontiguousarray(gx), gw, gb
 
 
-def maxpool2(x):
+def maxpool2(x, index=True):
     """2x2 max pooling with stride 2. Returns (pooled, argmax offsets).
 
     Offsets are flat indices into each window in row-major (dy, dx) order;
-    ties resolve to the first position scanned.
+    ties resolve to the first position scanned. The max is taken over the
+    four strided window views (a NaN anywhere in a window gives NaN);
+    with index=False no offsets are computed and None is returned for them.
     """
     if x.ndim != 4:
         raise ShapeError(f"input must be 4-D [N,C,H,W], got rank {x.ndim}")
-    n, c, h, wd = x.shape
+    h, wd = x.shape[2:]
     if h % 2 or wd % 2:
         raise ShapeError(f"maxpool2 needs even H,W, got {h}x{wd}; pad the input first")
-    win = x.reshape(n, c, h // 2, 2, wd // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    win = win.reshape(n, c, h // 2, wd // 2, 4)
-    idx = win.argmax(axis=4)
-    y = np.take_along_axis(win, idx[..., None], axis=4)[..., 0]
+    views = [x[:, :, dy::2, dx::2] for dy in (0, 1) for dx in (0, 1)]
+    y = np.maximum(views[0], views[1])
+    np.maximum(y, views[2], out=y)
+    np.maximum(y, views[3], out=y)
+    if not index:
+        return y, None
+    idx = np.full(y.shape, 3, dtype=np.int8)
+    for k in (2, 1, 0):
+        idx[views[k] == y] = k
     return y, idx
 
 

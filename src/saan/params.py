@@ -14,6 +14,7 @@ import struct
 import numpy as np
 
 from .errors import CodecError, InventoryError
+from .io_formats import atomic_open
 from .layers import spec_params
 
 MAGIC = b"SAANCK1\n"
@@ -64,8 +65,8 @@ def validate_inventory(params, arch):
 
 
 def save_checkpoint(params, path):
-    """Write all parameters (sorted by name) as 32-bit floats."""
-    with open(path, "wb") as fh:
+    """Write all parameters (sorted by name) as 32-bit floats, atomically."""
+    with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(params)))
         for name in sorted(params):

@@ -150,6 +150,22 @@ class TestPrepare:
         assert code == 1
         assert "degenerate" in capsys.readouterr().err
 
+    def test_non_utf8_annotation_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert run_synth(out, images=3) == 0
+        ann = out / "anns" / "scene_0001.txt"
+        ann.write_bytes(b"\xff\xfe,3\n")
+        assert main(["prepare", "--manifest", str(out / "manifest.json")]) == 1
+        err = capsys.readouterr().err
+        assert str(ann) in err and "UTF-8" in err and "Traceback" not in err
+
+    def test_non_utf8_manifest_exits_1(self, tmp_path, capsys):
+        manifest_path = tmp_path / "manifest.json"
+        manifest_path.write_bytes(b'{"items": [], "bins": "\xff"}')
+        assert main(["prepare", "--manifest", str(manifest_path)]) == 1
+        err = capsys.readouterr().err
+        assert str(manifest_path) in err and "UTF-8" in err
+
     def test_non_string_image_path_exits_1(self, tmp_path, capsys):
         manifest_path = tmp_path / "manifest.json"
         manifest_path.write_text(
@@ -392,3 +408,10 @@ class TestExitCodes:
         path.write_text('{"learning_rte": 0.1}')
         assert main(["train", "--config", str(path)]) == 1
         assert "unknown config keys" in capsys.readouterr().err
+
+    def test_non_utf8_config_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_bytes(b"\xff{}")
+        assert main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "UTF-8" in err

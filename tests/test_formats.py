@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from saan import io_formats
+from saan import io_formats, params
 from saan.density import ScaleBins
 from saan.errors import AnnotationError, CodecError, ManifestError
 from saan.io_formats import Manifest, ManifestItem
@@ -208,3 +208,29 @@ class TestManifest:
         item = ManifestItem("images/scene_007.pgm", "anns/scene_007.txt", "train")
         path = io_formats.density_path("/data/run", item)
         assert path.endswith("density/scene_007.dm")
+
+
+class TestAtomicWrites:
+    # each writer gets a value that fails after part of the file is out:
+    # the second tensor, the density data after its header, the first item
+    @pytest.mark.parametrize("name, write, bad", [
+        ("a.ck", lambda path, p: params.save_checkpoint(p, path),
+         {"a": np.ones(3, np.float32), "b": object()}),
+        ("a.dm", io_formats.save_density, np.array([[0.5, object()]], dtype=object)),
+        ("manifest.json", io_formats.save_manifest,
+         Manifest(items=[ManifestItem(object(), "anns/a.txt", "train")], bins=None)),
+    ])
+    def test_failed_write_keeps_old_file(self, tmp_path, name, write, bad):
+        path = tmp_path / name
+        path.write_bytes(b"old bytes")
+        with pytest.raises(TypeError):
+            write(str(path), bad)
+        assert path.read_bytes() == b"old bytes"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
+    def test_successful_write_replaces_file(self, tmp_path):
+        path = tmp_path / "a.dm"
+        path.write_bytes(b"old bytes")
+        io_formats.save_density(str(path), np.ones((2, 3), np.float32))
+        np.testing.assert_array_equal(io_formats.load_density(path), np.ones((2, 3)))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.dm"]

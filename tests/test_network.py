@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from saan import layers, network, ops, params
-from saan.errors import CodecError, InventoryError, ShapeError
+from saan.errors import CodecError, InventoryError, SaanError, ShapeError
 from saan.network import Arch
 
 from oracles import naive_attention_weight
@@ -187,6 +187,19 @@ class TestModelForward:
         d2 = network.model_forward(x.copy(), dict(p), arch).density
         np.testing.assert_array_equal(d1, d2)
 
+    @pytest.mark.parametrize("arch", [Arch.tiny(), Arch.default()], ids=["tiny", "default"])
+    @pytest.mark.parametrize("hw", [(15, 17), (20, 12)])
+    @pytest.mark.parametrize("gsa", [True, False])
+    @pytest.mark.parametrize("lsa", [True, False])
+    def test_cache_free_density_is_bitwise_equal(self, rng, arch, hw, gsa, lsa):
+        p = params.init_params(arch, rng=np.random.default_rng(5))
+        x = rng.uniform(0, 1, (1, 1) + hw).astype(np.float32)
+        kept = network.model_forward(x, p, arch, lsa_enabled=lsa, gsa_enabled=gsa)
+        free = network.model_forward(x, p, arch, lsa_enabled=lsa, gsa_enabled=gsa,
+                                     keep_caches=False)
+        assert kept.cache and free.cache == {}
+        assert free.density.tobytes() == kept.density.tobytes()
+
 
 class TestModelBackward:
     def test_image_input_layers_skip_input_gradient(self, rng, tiny, monkeypatch):
@@ -215,6 +228,13 @@ class TestModelBackward:
         assert set(calls) == conv_layers
         assert {layer for layer, flag in calls.items() if not flag} == image_input
         assert set(grads) == set(p)
+
+    def test_cache_free_outputs_refused(self, rng, tiny):
+        arch, p = tiny
+        out = network.model_forward(rng.uniform(0, 1, (1, 1, 16, 16)), p, arch,
+                                    keep_caches=False)
+        with pytest.raises(SaanError, match="keep_caches"):
+            network.model_backward({"density": np.ones_like(out.density)}, out, p, arch)
 
 
 class TestCount:

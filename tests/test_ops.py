@@ -65,6 +65,19 @@ class TestConv2d:
         assert skipped[1].tobytes() == gw.tobytes()
         assert skipped[2].tobytes() == gb.tobytes()
 
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("rows, blocks", [(1, 14), (3, 6), (7, 2), (14, 1)])
+    def test_blocked_matches_naive_oracle(self, rng, monkeypatch, k, rows, blocks):
+        # a budget of `rows` patch rows: bands of one image's rows with a
+        # short last band, one image per block, or the whole batch at once
+        x = dyadic(rng, (2, 3, 7, 5))
+        w = dyadic(rng, (2, 3, k, k))
+        b = dyadic(rng, 2)
+        row_bytes = 3 * k * k * 5 * x.itemsize
+        monkeypatch.setattr(ops, "_PATCH_BYTES", rows * row_bytes)
+        assert len(list(ops._row_blocks(2, 7, row_bytes))) == blocks
+        np.testing.assert_array_equal(ops.conv2d(x, w, b), naive_conv2d(x, w, b))
+
     def test_preserves_spatial_dims(self, rng):
         for k in (1, 3, 5, 7, 9):
             x = rng.uniform(-1, 1, (1, 2, 8, 11))
@@ -127,6 +140,18 @@ class TestConv2dTranspose:
                 ops.conv2d_transpose(x, w, b), naive_conv2d_transpose(x, w, b)
             )
 
+    @pytest.mark.parametrize("rows, blocks", [(1, 10), (2, 6), (5, 2), (10, 1)])
+    def test_blocked_matches_naive_oracle(self, rng, monkeypatch, rows, blocks):
+        # seams between row bands add into the same output rows
+        x = dyadic(rng, (2, 3, 5, 3))
+        w = dyadic(rng, (3, 2, 4, 4))
+        b = dyadic(rng, 2)
+        row_bytes = 2 * 16 * 3 * x.itemsize
+        monkeypatch.setattr(ops, "_PATCH_BYTES", rows * row_bytes)
+        assert len(list(ops._row_blocks(2, 5, row_bytes))) == blocks
+        np.testing.assert_array_equal(
+            ops.conv2d_transpose(x, w, b), naive_conv2d_transpose(x, w, b))
+
     def test_doubles_spatial_dims(self, rng):
         x = rng.uniform(-1, 1, (1, 2, 5, 7))
         w = rng.uniform(-1, 1, (2, 3, 4, 4))
@@ -172,6 +197,26 @@ class TestMaxPool2:
             ey, eidx = naive_maxpool2(x)
             np.testing.assert_array_equal(y, ey)
             np.testing.assert_array_equal(idx, eidx)
+
+    def test_ties_with_and_without_index(self, rng):
+        # three values over four positions: most windows hold a tie
+        x = dyadic(rng, (2, 3, 6, 8), denom=1, lo=0, hi=2)
+        ey, eidx = naive_maxpool2(x)
+        y, idx = ops.maxpool2(x)
+        np.testing.assert_array_equal(y, ey)
+        np.testing.assert_array_equal(idx, eidx)
+        y_only, none = ops.maxpool2(x, index=False)
+        assert none is None
+        assert y_only.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("index", [True, False])
+    def test_nan_propagates(self, rng, index):
+        x = dyadic(rng, (1, 2, 4, 4))
+        x[0, 1, 3, 2] = np.nan
+        y, _ = ops.maxpool2(x, index=index)
+        assert np.isnan(y[0, 1, 1, 1])
+        y[0, 1, 1, 1] = 0.0
+        assert np.all(np.isfinite(y))
 
     def test_odd_dims_raise(self, rng):
         with pytest.raises(ShapeError, match="pad"):

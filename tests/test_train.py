@@ -242,6 +242,22 @@ class TestEvaluate:
         assert v_mse == mse_fn(pred, gt)
         assert v_mse >= v_mae
 
+    def test_keeps_no_caches(self, dataset, monkeypatch):
+        manifest, root = dataset
+        arch = Arch.tiny()
+        params = init_params(arch, np.random.default_rng(1))
+        outputs = []
+        real = train.model_forward
+
+        def recording(*args, **kwargs):
+            outputs.append(real(*args, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(train, "model_forward", recording)
+        train.evaluate(params, manifest, root, "train", arch=arch)
+        assert len(outputs) == len(manifest.split_items("train"))
+        assert all(out.cache == {} for out in outputs)
+
     def test_empty_split_rejected(self, dataset):
         manifest, root = dataset
         only_train = Manifest(
