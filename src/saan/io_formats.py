@@ -18,6 +18,7 @@ failed write leaves the previous file as it was.
 import contextlib
 import json
 import os
+import shutil
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -35,11 +36,15 @@ SPLITS = ("train", "val", "test")
 def atomic_open(path, mode, **kwargs):
     """Open a temporary file beside path for writing. It replaces path
     (os.replace) when the block ends and is removed if the block raises,
-    so path holds either its old bytes or the whole new file."""
+    so path holds either its old bytes or the whole new file. The new file
+    takes an existing path's mode; a link at path is replaced, not
+    written through."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, mode, **kwargs) as fh:
             yield fh
+        if os.path.exists(path):
+            shutil.copymode(path, tmp)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

@@ -14,10 +14,12 @@ the input gradient W^T @ gy scattered back with one shifted add per
 kernel tap (col2im). conv2d returns an [N,C,H,W] view of a [C,N,H,W]
 buffer, so the gy that comes back through it is already channel-major.
 
-The forward convolutions never hold a whole-image GEMM operand: conv2d
-builds its patch matrix, and conv2d_transpose its [Cout*16, .] product,
-in blocks of whole images or of one image's rows that stay within
-_PATCH_BYTES (about an L2 cache), each written straight into the output.
+The forward convolutions build their GEMM operand in blocks: conv2d its
+patch matrix, and conv2d_transpose its [Cout*16, .] product, each block
+whole images or a band of one image's rows, written straight into the
+output. _PATCH_BYTES (about an L2 cache) caps how many rows a block
+takes, but a block holds at least one row, so when one row's operand is
+larger than the budget (wide images, float64) the block is too.
 """
 
 import numpy as np
@@ -63,11 +65,12 @@ def _im2col(xp, k):
 
 
 def _row_blocks(n, h, row_bytes):
-    """Split the (image, row) range of an [N,.,H,.] map into blocks whose
-    GEMM operand, row_bytes per row, stays within _PATCH_BYTES: runs of
-    whole images while one image fits, else bands of one image's rows.
-    Yields (n0, n1, r0, r1); the blocks tile the flattened (n, h) index
-    in order, so each is one column range of a [C, N*H*W] matrix."""
+    """Split the (image, row) range of an [N,.,H,.] map into blocks of
+    as many rows as fit in _PATCH_BYTES at row_bytes each, but at least
+    one row: runs of whole images while one image fits, else bands of one
+    image's rows. Yields (n0, n1, r0, r1); the blocks tile the flattened
+    (n, h) index in order, so each is one column range of a [C, N*H*W]
+    matrix."""
     rows = max(1, _PATCH_BYTES // row_bytes)
     if rows >= h:
         step = rows // h

@@ -273,10 +273,9 @@ def evaluate(params, manifest, base_dir, split, arch=None,
     for item in items:
         image = io_formats.read_pgm(os.path.join(base_dir, item.image))[None, None, :, :]
         points = io_formats.read_annotations(os.path.join(base_dir, item.ann))
-        # the outputs are dropped here, not held through the next image
-        pred_count = float(count_from_density(model_forward(
-            image, params, arch, lsa_enabled=lsa_enabled, gsa_enabled=gsa_enabled,
-            keep_caches=False).density)[0])
+        out = model_forward(image, params, arch, lsa_enabled=lsa_enabled,
+                            gsa_enabled=gsa_enabled, keep_caches=False)
+        pred_count = float(count_from_density(out.density)[0])
         if not np.isfinite(pred_count):
             raise TrainingError(f"non-finite predicted count for {item.image}")
         records.append({

@@ -234,3 +234,10 @@ class TestAtomicWrites:
         io_formats.save_density(str(path), np.ones((2, 3), np.float32))
         np.testing.assert_array_equal(io_formats.load_density(path), np.ones((2, 3)))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.dm"]
+
+    def test_replaced_file_keeps_its_mode(self, tmp_path):
+        path = tmp_path / "a.dm"
+        path.write_bytes(b"old bytes")
+        path.chmod(0o600)
+        io_formats.save_density(str(path), np.ones((2, 3), np.float32))
+        assert path.stat().st_mode & 0o777 == 0o600
