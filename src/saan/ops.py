@@ -9,25 +9,49 @@ preserved; the transposed convolution is fixed at kernel 4 / stride 2 /
 padding 1 (exact x2 upsampling).
 
 Convolution runs on one channel-major patch layout, [C*k*k, N*H*W]
-(im2col): the forward is W @ cols, the weight gradient gy @ cols^T, and
-the input gradient W^T @ gy scattered back with one shifted add per
+(im2col): the forward is W @ cols, the weight gradient (cols @ gy^T)^T,
+and the input gradient W^T @ gy scattered back with one shifted add per
 kernel tap (col2im). conv2d returns an [N,C,H,W] view of a [C,N,H,W]
 buffer, so the gy that comes back through it is already channel-major.
+A 1x1 convolution is one GEMM on its input in channel-major order (a
+view, not a copy, when the input came from another conv) and builds no
+patch matrix.
 
-The forward convolutions build their GEMM operand in blocks: conv2d its
-patch matrix, and conv2d_transpose its [Cout*16, .] product, each block
-whole images or a band of one image's rows, written straight into the
-output. _PATCH_BYTES (about an L2 cache) caps how many rows a block
-takes, but a block holds at least one row, so when one row's operand is
-larger than the budget (wide images, float64) the block is too.
+A patch matrix is one strided copy. The input is copied once into a
+zero-padded channel-major buffer, each channel flattened, so tap
+(dy, dx) of padded pixel (n, r, c) sits at a fixed offset from it and
+every patch matrix is an as_strided view of that buffer. The forward's
+view spans all Wp = W + 2p padded columns of each row: tap (dy, dx) is
+the plain offset dy*Wp + dx, each tap row of a block is one long run
+(k-1 zeros of slack end the buffer), and the GEMM output is cropped back
+to W columns on its way into the output. The backward's view is the
+exact [C*k*k, N*H*W] matrix. The transposed conv's backward gathers the
+16 stride-2 taps of its 1-padded gy the same way into one
+[Cout*16, N*H*W] matrix, the mirror of its forward's single GEMM and 16
+strided adds.
+
+Convolutions work in blocks, each whole images or a band of one image's
+rows. conv2d and its backward copy each block's patch matrix into one
+buffer reused for every block, so a conv's patch memory is one padded
+copy of its input plus a block; the backward sums the weight gradient
+over the blocks. conv2d_transpose builds its [Cout*16, .] GEMM product
+in the same blocks. _PATCH_BYTES (about an L2 cache) caps how many rows
+a block takes, but a block holds at least one row, so when one row's
+operand is larger than the budget (wide images, float64) the block is
+too.
+
+Max pooling works on the four strided window views x[:, :, dy::2, dx::2]
+both ways: the forward takes the max and the int8 offset of the first
+position that attains it, and the backward writes each view once.
 """
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ShapeError
 
-# byte cap of one block of a forward conv's GEMM operand (see module doc)
+# byte cap of one block of a conv's patch matrix or a deconv's GEMM product
+# (see module doc)
 _PATCH_BYTES = 2 << 20
 
 
@@ -51,17 +75,26 @@ def _check_conv_args(x, w, b, weight_layout):
         raise ShapeError(f"kernel must be square, got {w.shape[2]}x{w.shape[3]}")
 
 
-def _im2col(xp, k):
-    """[N,C,Hp,Wp] zero-padded input -> [C*k*k, N*Ho*Wo] patch matrix;
-    row (c, dy, dx) is channel c shifted by one tap, copied a row at a time."""
-    n, c, hp, wp = xp.shape
-    ho, wo = hp - k + 1, wp - k + 1
-    xc = xp.transpose(1, 0, 2, 3)
-    cols = np.empty((c, k, k, n, ho, wo), dtype=xp.dtype)
-    for dy in range(k):
-        for dx in range(k):
-            cols[:, dy, dx] = xc[:, :, dy : dy + ho, dx : dx + wo]
-    return cols.reshape(c * k * k, n * ho * wo)
+def _pad_cm(x, p, slack=0):
+    """[N,C,H,W] -> [C, N*(H+2p)*(W+2p) + slack]: each channel zero-padded
+    by p on every side and flattened, then `slack` zeros."""
+    n, c, h, wd = x.shape
+    hp, wp = h + 2 * p, wd + 2 * p
+    buf = np.zeros((c, n * hp * wp + slack), dtype=x.dtype)
+    grid = buf[:, : n * hp * wp].reshape(c, n, hp, wp)
+    grid[:, :, p : p + h, p : p + wd] = x.transpose(1, 0, 2, 3)
+    return buf
+
+
+def _patches(buf, k, hp, wp, n0, n1, r0, r1, width, stride=1):
+    """[C, k, k, n1-n0, r1-r0, width] view of a _pad_cm buffer of hp x wp
+    images: element (c, dy, dx, i, r, j) is padded pixel
+    (stride*(r0+r) + dy, stride*j + dx) of image n0+i in channel c."""
+    s0, s = buf.strides
+    return as_strided(buf[:, (n0 * hp + stride * r0) * wp :],
+                      shape=(buf.shape[0], k, k, n1 - n0, r1 - r0, width),
+                      strides=(s0, wp * s, s, hp * wp * s, stride * wp * s, stride * s),
+                      writeable=False)
 
 
 def _row_blocks(n, h, row_bytes):
@@ -70,7 +103,7 @@ def _row_blocks(n, h, row_bytes):
     one row: runs of whole images while one image fits, else bands of one
     image's rows. Yields (n0, n1, r0, r1); the blocks tile the flattened
     (n, h) index in order, so each is one column range of a [C, N*H*W]
-    matrix."""
+    matrix. The first block is the largest."""
     rows = max(1, _PATCH_BYTES // row_bytes)
     if rows >= h:
         step = rows // h
@@ -82,6 +115,24 @@ def _row_blocks(n, h, row_bytes):
                 yield i, i + 1, r0, min(h, r0 + rows)
 
 
+def _patch_blocks(xp, k, n, h, wp, width):
+    """Patch matrices of an [N,.,H,.] map, block by block: yields
+    (n0, n1, r0, r1, cols) for the _row_blocks of patch rows `width`
+    columns wide, cols the block's [C*k*k, (n1-n0)*(r1-r0)*width] patch
+    matrix copied from the _pad_cm buffer xp (padded width wp) into one
+    buffer that the next block overwrites."""
+    ckk = xp.shape[0] * k * k
+    blocks = list(_row_blocks(n, h, ckk * width * xp.itemsize))
+    n0, n1, r0, r1 = blocks[0]
+    buf = np.empty(ckk * (n1 - n0) * (r1 - r0) * width, dtype=xp.dtype)
+    hp = h + k - 1
+    for n0, n1, r0, r1 in blocks:
+        view = _patches(xp, k, hp, wp, n0, n1, r0, r1, width)
+        cols = buf[: view.size].reshape(view.shape)
+        np.copyto(cols, view)
+        yield n0, n1, r0, r1, cols.reshape(ckk, -1)
+
+
 def conv2d(x, w, b):
     """Stride-1 same-padding convolution. x: [N,Cin,H,W], w: [Cout,Cin,k,k]."""
     _check_conv_args(x, w, b, "oikk")
@@ -91,36 +142,53 @@ def conv2d(x, w, b):
     p = (k - 1) // 2
     n, cin, h, wd = x.shape
     cout = w.shape[0]
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-    y = np.empty((cout, n * h * wd), dtype=np.result_type(x, w, b))
+    y = np.empty((cout, n, h, wd), dtype=np.result_type(x, w, b))
     w2 = w.reshape(cout, -1)
-    for n0, n1, r0, r1 in _row_blocks(n, h, cin * k * k * wd * xp.itemsize):
-        cols = _im2col(xp[n0:n1, :, r0 : r1 + 2 * p], k)
-        blk = y[:, (n0 * h + r0) * wd : ((n1 - 1) * h + r1) * wd]
-        np.matmul(w2, cols, out=blk)
-        blk += b[:, None]
-    return y.reshape(cout, n, h, wd).transpose(1, 0, 2, 3)
+    if k == 1:
+        np.matmul(w2, x.transpose(1, 0, 2, 3).reshape(cin, -1), out=y.reshape(cout, -1))
+        y += b[:, None, None, None]
+        return y.transpose(1, 0, 2, 3)
+    wp = wd + 2 * p
+    for n0, n1, r0, r1, cols in _patch_blocks(_pad_cm(x, p, slack=k - 1), k, n, h, wp, wp):
+        out = (w2 @ cols).reshape(cout, n1 - n0, r1 - r0, wp)[..., :wd]
+        np.add(out, b[:, None, None, None], out=y[:, n0:n1, r0:r1])
+        del out  # before the next block's GEMM allocates its own
+    return y.transpose(1, 0, 2, 3)
 
 
 def conv2d_backward(gy, x, w, input_grad=True):
-    """Gradients of conv2d w.r.t. (input, weights, bias)."""
+    """Gradients of conv2d w.r.t. (input, weights, bias), in the blocks of
+    the forward's patch matrix (exact width here): each block adds its
+    share of the weight gradient and scatters its input gradient."""
     k = w.shape[2]
     p = (k - 1) // 2
     n, cin, h, wd = x.shape
     cout = w.shape[0]
     gy_cm = np.ascontiguousarray(gy.transpose(1, 0, 2, 3)).reshape(cout, -1)
     gb = gy_cm.sum(axis=1)
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-    gw = (gy_cm @ _im2col(xp, k).T).reshape(cout, cin, k, k)
+    wt = w.transpose(2, 3, 1, 0).reshape(k * k * cin, cout)
+    if k == 1:
+        gw = (x.transpose(1, 0, 2, 3).reshape(cin, -1) @ gy_cm.T).T.reshape(cout, cin, 1, 1)
+        if not input_grad:
+            return None, gw, gb
+        return (wt @ gy_cm).reshape(cin, n, h, wd).transpose(1, 0, 2, 3), gw, gb
+    wp = wd + 2 * p
+    if input_grad:
+        gxp = np.zeros((cin, n, h + 2 * p, wp), dtype=np.result_type(w, gy))
+    gw = None
+    for n0, n1, r0, r1, cols in _patch_blocks(_pad_cm(x, p), k, n, h, wp, wd):
+        g = gy_cm[:, (n0 * h + r0) * wd : ((n1 - 1) * h + r1) * wd]
+        part = cols @ g.T
+        gw = part if gw is None else gw + part
+        if input_grad:
+            gcols = (wt @ g).reshape(k, k, cin, n1 - n0, r1 - r0, wd)
+            for dy in range(k):
+                for dx in range(k):
+                    gxp[:, n0:n1, r0 + dy : r1 + dy, dx : dx + wd] += gcols[dy, dx]
+            del gcols  # before the next block's GEMM allocates its own
+    gw = gw.T.reshape(cout, cin, k, k)
     if not input_grad:
         return None, gw, gb
-
-    wt = w.transpose(2, 3, 1, 0).reshape(k * k * cin, cout)
-    gcols = (wt @ gy_cm).reshape(k, k, cin, n, h, wd)
-    gxp = np.zeros((cin, n, h + 2 * p, wd + 2 * p), dtype=gcols.dtype)
-    for dy in range(k):
-        for dx in range(k):
-            gxp[:, :, dy : dy + h, dx : dx + wd] += gcols[dy, dx]
     return gxp[:, :, p : p + h, p : p + wd].transpose(1, 0, 2, 3), gw, gb
 
 
@@ -154,23 +222,25 @@ def conv2d_transpose(x, w, b):
     return y.transpose(1, 0, 2, 3)
 
 
-def _deconv_windows(gy):
-    """Stride-2 4x4 windows of the padded upstream gradient: [N,Co,H,W,4,4]."""
-    gyp = np.pad(gy, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    return sliding_window_view(gyp, (4, 4), axis=(2, 3))[:, :, ::2, ::2]
-
-
 def conv2d_transpose_backward(gy, x, w, input_grad=True):
-    """Gradients of conv2d_transpose w.r.t. (input, weights, bias)."""
+    """Gradients of conv2d_transpose w.r.t. (input, weights, bias).
+
+    Input pixel (i, j) met padded output pixels (ky + 2i, kx + 2j), so its
+    16 taps of the 1-padded gy are gathered into one [Cout*16, N*H*W]
+    matrix: the weight gradient is one GEMM against x, the input gradient
+    one GEMM against W."""
     n, cin, h, wd = x.shape
+    cout = w.shape[1]
     gb = gy.sum(axis=(0, 2, 3))
-    win = _deconv_windows(gy)  # [N,Cout,H,W,4,4]
-    gw = np.tensordot(x, win, axes=([0, 2, 3], [0, 2, 3]))  # [Cin,Cout,4,4]
+    cols = np.ascontiguousarray(
+        _patches(_pad_cm(gy, 1), 4, 2 * h + 2, 2 * wd + 2, 0, n, 0, h, wd, stride=2))
+    cols = cols.reshape(cout * 16, -1)
+    x_cm = x.transpose(1, 0, 2, 3).reshape(cin, -1)
+    gw = (cols @ x_cm.T).T.reshape(cin, cout, 4, 4)
     if not input_grad:
         return None, gw, gb
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * h * wd, -1)
-    gx = (cols @ w.reshape(cin, -1).T).reshape(n, h, wd, cin).transpose(0, 3, 1, 2)
-    return np.ascontiguousarray(gx), gw, gb
+    gx = (w.reshape(cin, -1) @ cols).reshape(cin, n, h, wd)
+    return gx.transpose(1, 0, 2, 3), gw, gb
 
 
 def maxpool2(x, index=True):
@@ -178,8 +248,9 @@ def maxpool2(x, index=True):
 
     Offsets are flat indices into each window in row-major (dy, dx) order;
     ties resolve to the first position scanned. The max is taken over the
-    four strided window views (a NaN anywhere in a window gives NaN);
-    with index=False no offsets are computed and None is returned for them.
+    four strided window views (a NaN anywhere in a window gives NaN, and
+    offset 3); with index=False no offsets are computed and None is
+    returned for them.
     """
     if x.ndim != 4:
         raise ShapeError(f"input must be 4-D [N,C,H,W], got rank {x.ndim}")
@@ -192,19 +263,20 @@ def maxpool2(x, index=True):
     np.maximum(y, views[3], out=y)
     if not index:
         return y, None
-    idx = np.full(y.shape, 3, dtype=np.int8)
-    for k in (2, 1, 0):
-        idx[views[k] == y] = k
+    idx = np.where(views[2] == y, np.int8(2), np.int8(3))
+    for k in (1, 0):
+        idx = np.where(views[k] == y, np.int8(k), idx)
     return y, idx
 
 
 def maxpool2_backward(gy, idx, in_shape):
-    """Routes the upstream gradient to the stored argmax positions."""
-    n, c, h, wd = in_shape
-    z = np.zeros((n, c, h // 2, wd // 2, 4), dtype=gy.dtype)
-    np.put_along_axis(z, idx[..., None], gy[..., None], axis=4)
-    z = z.reshape(n, c, h // 2, wd // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    return np.ascontiguousarray(z.reshape(n, c, h, wd))
+    """Routes the upstream gradient to the stored argmax positions: each
+    window view of the input gradient is written once, gy where the
+    offset names it and 0 elsewhere."""
+    gx = np.empty(in_shape, dtype=gy.dtype)
+    for k in range(4):
+        np.multiply(gy, idx == k, out=gx[:, :, k // 2 :: 2, k % 2 :: 2])
+    return gx
 
 
 def fully_connected(x, w, b):

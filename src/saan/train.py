@@ -100,6 +100,10 @@ def load_split(manifest, base_dir, split, with_density=True):
         density = None
         if with_density:
             dm = io_formats.load_density(io_formats.density_path(base_dir, item))
+            if dm.shape != image.shape[1:]:
+                raise ManifestError(
+                    f"{item.image}: density map is {dm.shape[0]}x{dm.shape[1]} but the "
+                    f"image is {image.shape[1]}x{image.shape[2]}; run prepare again")
             density = dm.astype(np.float64)
         samples.append(Sample(image=image, points=points, density=density))
     return samples

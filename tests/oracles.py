@@ -80,6 +80,35 @@ def naive_conv2d_transpose(x, w, b):
     return out
 
 
+def naive_conv2d_transpose_backward(gy, x, w):
+    """Adjoint of naive_conv2d_transpose: every (input position, kernel
+    tap) term that reached an output pixel sends gy back to the input
+    pixel and the weight it multiplied. Returns (gx, gw, gb)."""
+    n, cin, h, wd = x.shape
+    _, cout, k, _ = w.shape
+    gx = np.zeros_like(x)
+    gw = np.zeros_like(w)
+    gb = np.zeros(cout, dtype=gy.dtype)
+    for ni in range(n):
+        for co in range(cout):
+            for oy in range(2 * h):
+                for ox in range(2 * wd):
+                    gb[co] += gy[ni, co, oy, ox]
+        for ci in range(cin):
+            for co in range(cout):
+                for hi in range(h):
+                    for wi in range(wd):
+                        for dy in range(k):
+                            for dx in range(k):
+                                oy = 2 * hi + dy - 1
+                                ox = 2 * wi + dx - 1
+                                if 0 <= oy < 2 * h and 0 <= ox < 2 * wd:
+                                    g = gy[ni, co, oy, ox]
+                                    gx[ni, ci, hi, wi] += g * w[ci, co, dy, dx]
+                                    gw[ci, co, dy, dx] += g * x[ni, ci, hi, wi]
+    return gx, gw, gb
+
+
 def naive_maxpool2(x):
     """2x2/stride-2 max pooling; ties resolved to the first position in
     row-major window order, matching the library contract."""
@@ -101,6 +130,25 @@ def naive_maxpool2(x):
                     out[ni, ci, hi, wi] = best
                     arg[ni, ci, hi, wi] = besti
     return out, arg
+
+
+def naive_maxpool2_backward(gy, x):
+    """Adjoint of 2x2/stride-2 max pooling of x zero-padded to even size on
+    the bottom/right edge, as the layers engine pools: each window's
+    gradient goes to its first maximal position, and a position in the
+    padding is dropped."""
+    n, c, h, wd = x.shape
+    xp = np.zeros((n, c, h + h % 2, wd + wd % 2), dtype=x.dtype)
+    xp[:, :, :h, :wd] = x
+    _, arg = naive_maxpool2(xp)
+    gx = np.zeros_like(xp)
+    for ni in range(n):
+        for ci in range(c):
+            for hi in range(xp.shape[2] // 2):
+                for wi in range(xp.shape[3] // 2):
+                    dy, dx = divmod(int(arg[ni, ci, hi, wi]), 2)
+                    gx[ni, ci, 2 * hi + dy, 2 * wi + dx] += gy[ni, ci, hi, wi]
+    return gx[:, :, :h, :wd]
 
 
 def naive_box_sum(m, radius):

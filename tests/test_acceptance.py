@@ -119,6 +119,7 @@ def test_criterion_4_shape_contract():
     print("criterion 4 shape contract: PASS (63x65, 64x64, 128x96)")
 
 
+@pytest.mark.slow
 def test_criterion_5_synthetic_end_to_end(tmp_path, capsys):
     t0 = time.perf_counter()
     root = str(tmp_path)

@@ -244,6 +244,27 @@ class TestTrain:
             if name.startswith("lsa."):
                 np.testing.assert_array_equal(params[name], value)
 
+    @pytest.mark.parametrize("side", [40, 24])
+    def test_density_shape_mismatch_exits_1(self, tmp_path, capsys, side):
+        # every map rewritten larger or smaller than its 32x32 image
+        assert run_synth(tmp_path, images=4) == 0
+        manifest_path = str(tmp_path / "manifest.json")
+        assert main(["prepare", "--manifest", manifest_path]) == 0
+        manifest = io_formats.load_manifest(manifest_path)
+        for item in manifest.items:
+            io_formats.save_density(io_formats.density_path(str(tmp_path), item),
+                                    np.full((side, side), 0.01, dtype=np.float32))
+        config = tmp_path / "config.json"
+        out_dir = tmp_path / "out"
+        config.write_text(json.dumps({"manifest": manifest_path, "out_dir": str(out_dir),
+                                      "phase1_epochs": 1, "phase2_epochs": 1,
+                                      "crop_size": 16}))
+        assert main(["train", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert manifest.split_items("train")[0].image in err
+        assert f"{side}x{side}" in err and "32x32" in err
+        assert not os.path.exists(out_dir / "final.ck")
+
     def test_rerun_reproduces_final_checkpoint(self, trained):
         _, _, config_path, out_dir = trained
         final = os.path.join(out_dir, "final.ck")

@@ -4,7 +4,7 @@ oracles and analytic gradients against central finite differences."""
 import numpy as np
 import pytest
 
-from saan import ops
+from saan import layers, ops
 from saan.errors import ShapeError
 from saan.gradcheck import grad_check
 
@@ -15,7 +15,9 @@ from oracles import (
     naive_conv2d,
     naive_conv2d_backward,
     naive_conv2d_transpose,
+    naive_conv2d_transpose_backward,
     naive_maxpool2,
+    naive_maxpool2_backward,
 )
 
 
@@ -65,18 +67,45 @@ class TestConv2d:
         assert skipped[1].tobytes() == gw.tobytes()
         assert skipped[2].tobytes() == gb.tobytes()
 
-    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
     @pytest.mark.parametrize("rows, blocks", [(1, 14), (3, 6), (7, 2), (14, 1)])
     def test_blocked_matches_naive_oracle(self, rng, monkeypatch, k, rows, blocks):
-        # a budget of `rows` patch rows: bands of one image's rows with a
-        # short last band, one image per block, or the whole batch at once
+        # a budget of `rows` patch rows, each as wide as the padded odd
+        # width: bands of one image's rows with a short last band, one
+        # image per block, or the whole batch at once (k == 1 never blocks)
         x = dyadic(rng, (2, 3, 7, 5))
         w = dyadic(rng, (2, 3, k, k))
         b = dyadic(rng, 2)
-        row_bytes = 3 * k * k * 5 * x.itemsize
+        row_bytes = 3 * k * k * (5 + k - 1) * x.itemsize
         monkeypatch.setattr(ops, "_PATCH_BYTES", rows * row_bytes)
         assert len(list(ops._row_blocks(2, 7, row_bytes))) == blocks
         np.testing.assert_array_equal(ops.conv2d(x, w, b), naive_conv2d(x, w, b))
+
+    @pytest.mark.parametrize("k", [3, 7])
+    @pytest.mark.parametrize("rows, blocks", [(1, 14), (3, 6), (7, 2), (14, 1)])
+    def test_blocked_backward_matches_naive_oracle(self, rng, monkeypatch, k, rows, blocks):
+        # the backward's patch rows are the exact width; each block adds its
+        # share of gw and scatters gx across the seams between bands
+        x = dyadic(rng, (2, 3, 7, 5))
+        w = dyadic(rng, (2, 3, k, k))
+        gy = dyadic(rng, (2, 2, 7, 5))
+        row_bytes = 3 * k * k * 5 * x.itemsize
+        monkeypatch.setattr(ops, "_PATCH_BYTES", rows * row_bytes)
+        assert len(list(ops._row_blocks(2, 7, row_bytes))) == blocks
+        for got, want in zip(ops.conv2d_backward(gy, x, w), naive_conv2d_backward(gy, x, w)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_pointwise_reads_a_channel_major_view(self, rng):
+        # conv2d returns [N,C,H,W] views of [C,N,H,W] buffers, which a 1x1
+        # conv multiplies as they lie
+        x = ops.conv2d(dyadic(rng, (2, 3, 5, 7)), dyadic(rng, (4, 3, 3, 3)), dyadic(rng, 4))
+        assert not x.flags.c_contiguous
+        w = dyadic(rng, (2, 4, 1, 1))
+        b = dyadic(rng, 2)
+        np.testing.assert_array_equal(ops.conv2d(x, w, b), naive_conv2d(x, w, b))
+        gy = dyadic(rng, (2, 2, 5, 7))
+        for got, want in zip(ops.conv2d_backward(gy, x, w), naive_conv2d_backward(gy, x, w)):
+            np.testing.assert_array_equal(got, want)
 
     def test_preserves_spatial_dims(self, rng):
         for k in (1, 3, 5, 7, 9):
@@ -152,6 +181,22 @@ class TestConv2dTranspose:
         np.testing.assert_array_equal(
             ops.conv2d_transpose(x, w, b), naive_conv2d_transpose(x, w, b))
 
+    @pytest.mark.parametrize("input_grad", [True, False])
+    def test_backward_matches_naive_oracle(self, rng, input_grad):
+        x = dyadic(rng, (2, 3, 3, 5))
+        w = dyadic(rng, (3, 2, 4, 4))
+        gy = dyadic(rng, (2, 2, 6, 10))
+        gx, gw, gb = ops.conv2d_transpose_backward(gy, x, w, input_grad=input_grad)
+        want_gx, want_gw, want_gb = naive_conv2d_transpose_backward(gy, x, w)
+        if input_grad:
+            assert gx.shape == want_gx.shape
+            np.testing.assert_array_equal(gx, want_gx)
+        else:
+            assert gx is None
+        for got, want in ((gw, want_gw), (gb, want_gb)):
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+
     def test_doubles_spatial_dims(self, rng):
         x = rng.uniform(-1, 1, (1, 2, 5, 7))
         w = rng.uniform(-1, 1, (2, 3, 4, 4))
@@ -217,6 +262,18 @@ class TestMaxPool2:
         assert np.isnan(y[0, 1, 1, 1])
         y[0, 1, 1, 1] = 0.0
         assert np.all(np.isfinite(y))
+
+    @pytest.mark.parametrize("shape", [(2, 3, 6, 8), (2, 3, 7, 5)])
+    def test_backward_matches_naive_oracle(self, rng, shape):
+        # three values over four positions, so most windows tie; the engine
+        # pads an odd input with zeros, which win windows of -1s, and crops
+        # the gradient back
+        x = dyadic(rng, shape, denom=1, lo=-1, hi=1)
+        y, caches = layers.seq_forward(x, {}, "p", [("pool0", "pool")])
+        gy = dyadic(rng, y.shape)
+        gx, _ = layers.seq_backward(gy, caches, {})
+        assert gx.shape == x.shape
+        np.testing.assert_array_equal(gx, naive_maxpool2_backward(gy, x))
 
     def test_odd_dims_raise(self, rng):
         with pytest.raises(ShapeError, match="pad"):
