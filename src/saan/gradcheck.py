@@ -234,7 +234,9 @@ def _activation_signature(out):
     Central differences are only valid where the model is smooth; a
     coordinate whose +-h perturbation changes this signature sits inside
     a relu kink or a pool tie and must be excluded, generalizing the
-    single-op rule of skipping relu inputs at exactly 0.
+    single-op rule of skipping relu inputs at exactly 0. A weighted
+    layer's cache entry[3] is its post-activation output, positive
+    exactly where the relu's input is.
     """
     sig = []
     cache = out.cache

@@ -9,12 +9,17 @@ Sub-networks are declared as lists of layer specs:
     ("fc0",     "fc",     out_features, "relu"|"linear")
 
 Parameters live in a flat name->array map under "<prefix>.<layer>.weight"
-/ ".bias". Pools auto-pad odd inputs with zeros on the bottom/right edge
-(the backward crops the gradient, so this is gradient-exact). The engine
-returns per-layer caches that the matching backward consumes; a stack
-that reads the image is walked back with input_grad=False, so its first
-layer computes no input gradient. With keep_caches=False (inference) no
-cache is kept, pools compute no argmax, and None is returned for caches.
+/ ".bias". A weighted layer's ReLU runs inside its op (relu=True), so
+each activation is written once. Pools auto-pad odd inputs with zeros on
+the bottom/right edge (the backward crops the gradient, so this is
+gradient-exact). The engine returns per-layer caches that the matching
+backward consumes: a weighted layer's entry holds its input and its
+post-activation output, the same array the next layer takes as input,
+and the ReLU backward masks on that output (y > 0 exactly where the
+pre-activation is). A stack that reads the image is walked back with
+input_grad=False, so its first layer computes no input gradient. With
+keep_caches=False (inference) no cache is kept, pools compute no argmax,
+and None is returned for caches.
 """
 
 import numpy as np
@@ -60,20 +65,6 @@ def _pad_to_even(x):
     return x
 
 
-def _apply_act(pre, act):
-    if act == "relu":
-        return ops.relu(pre)
-    if act == "linear":
-        return pre
-    raise ValueError(f"unknown activation {act!r}")
-
-
-def _act_backward(gy, pre, act):
-    if act == "relu":
-        return ops.relu_backward(gy, pre)
-    return gy
-
-
 def seq_forward(x, params, prefix, spec, keep_caches=True):
     """Run the stack; returns (output, caches) for seq_backward, or
     (output, None) when keep_caches is False."""
@@ -86,10 +77,13 @@ def seq_forward(x, params, prefix, spec, keep_caches=True):
         base = f"{prefix}.{name}"
         if kind in weighted:
             act = entry[-1]
-            pre = weighted[kind](x, params[f"{base}.weight"], params[f"{base}.bias"])
+            if act not in ("relu", "linear"):
+                raise ValueError(f"unknown activation {act!r}")
+            y = weighted[kind](x, params[f"{base}.weight"], params[f"{base}.bias"],
+                               relu=(act == "relu"))
             if keep_caches:
-                caches.append((kind, base, x, pre, act))
-            x = _apply_act(pre, act)
+                caches.append((kind, base, x, y, act))
+            x = y
         elif kind == "pool":
             orig_shape = x.shape
             xp = _pad_to_even(x)
@@ -120,8 +114,8 @@ def seq_backward(gy, caches, params, input_grad=True):
     for i, cache in reversed(list(enumerate(caches))):
         kind, base = cache[0], cache[1]
         if kind in weighted:
-            _, _, x_in, pre, act = cache
-            gpre = _act_backward(gy, pre, act)
+            _, _, x_in, y, act = cache
+            gpre = ops.relu_backward(gy, y) if act == "relu" else gy
             gy, gw, gb = weighted[kind](gpre, x_in, params[f"{base}.weight"],
                                         input_grad=input_grad or i > 0)
             grads[f"{base}.weight"] = gw

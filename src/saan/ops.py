@@ -15,7 +15,10 @@ kernel tap (col2im). conv2d returns an [N,C,H,W] view of a [C,N,H,W]
 buffer, so the gy that comes back through it is already channel-major.
 A 1x1 convolution is one GEMM on its input in channel-major order (a
 view, not a copy, when the input came from another conv) and builds no
-patch matrix.
+patch matrix. The weighted ops take relu=True to apply max(y, 0) in
+their epilogue, right after the bias add while each output block is
+still in cache, so an activation is written once; the result equals
+relu() of the plain op bit for bit.
 
 A patch matrix is one strided copy. The input is copied once into a
 zero-padded channel-major buffer, each channel flattened, so tap
@@ -25,24 +28,31 @@ view spans all Wp = W + 2p padded columns of each row: tap (dy, dx) is
 the plain offset dy*Wp + dx, each tap row of a block is one long run
 (k-1 zeros of slack end the buffer), and the GEMM output is cropped back
 to W columns on its way into the output. The backward's view is the
-exact [C*k*k, N*H*W] matrix. The transposed conv's backward gathers the
-16 stride-2 taps of its 1-padded gy the same way into one
-[Cout*16, N*H*W] matrix, the mirror of its forward's single GEMM and 16
-strided adds.
+exact [C*k*k, N*H*W] matrix.
+
+The transposed conv's forward is a sub-pixel convolution: each of the
+four output phases y[:, :, a::2, b::2] is a 3x3 "same" conv of x, so
+one 3x3 conv with a re-laid [4*Cout, Cin, 3, 3] kernel computes them
+all, its blocks written straight into the strided phase views, so each
+output pixel is written once. Its backward stays the gather of the 16
+stride-2 taps of the 1-padded gy into one [Cout*16, N*H*W] matrix: a
+sub-pixel backward does 2.25x the flops (each phase uses 4 of its 9
+taps) plus a 9-tap col2im, and measured slower at training shapes.
 
 Convolutions work in blocks, each whole images or a band of one image's
 rows. conv2d and its backward copy each block's patch matrix into one
 buffer reused for every block, so a conv's patch memory is one padded
 copy of its input plus a block; the backward sums the weight gradient
-over the blocks. conv2d_transpose builds its [Cout*16, .] GEMM product
-in the same blocks. _PATCH_BYTES (about an L2 cache) caps how many rows
-a block takes, but a block holds at least one row, so when one row's
+over the blocks. _PATCH_BYTES (about an L2 cache) caps how many rows a
+block takes, but a block holds at least one row, so when one row's
 operand is larger than the budget (wide images, float64) the block is
 too.
 
-Max pooling works on the four strided window views x[:, :, dy::2, dx::2]
-both ways: the forward takes the max and the int8 offset of the first
-position that attains it, and the backward writes each view once.
+Max pooling takes the max of row pairs first, then of column pairs of
+that, so each input element is read once along its row; the backward
+and the forward's int8 offset of the first position that attains the
+max work on the four strided window views x[:, :, dy::2, dx::2], and
+the backward writes each view once.
 """
 
 import numpy as np
@@ -50,8 +60,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import ShapeError
 
-# byte cap of one block of a conv's patch matrix or a deconv's GEMM product
-# (see module doc)
+# byte cap of one block of a conv's patch matrix (see module doc)
 _PATCH_BYTES = 2 << 20
 
 
@@ -133,27 +142,48 @@ def _patch_blocks(xp, k, n, h, wp, width):
         yield n0, n1, r0, r1, cols.reshape(ckk, -1)
 
 
-def conv2d(x, w, b):
-    """Stride-1 same-padding convolution. x: [N,Cin,H,W], w: [Cout,Cin,k,k]."""
+def conv2d(x, w, b, relu=False):
+    """Stride-1 same-padding convolution. x: [N,Cin,H,W], w: [Cout,Cin,k,k].
+
+    relu=True applies max(y, 0) to each output block after its bias add,
+    so the result equals relu(conv2d(x, w, b)) bit for bit."""
     _check_conv_args(x, w, b, "oikk")
     k = w.shape[2]
     if k % 2 != 1:
         raise ShapeError(f"kernel size must be odd for same padding, got {k}")
-    p = (k - 1) // 2
     n, cin, h, wd = x.shape
     cout = w.shape[0]
     y = np.empty((cout, n, h, wd), dtype=np.result_type(x, w, b))
-    w2 = w.reshape(cout, -1)
-    if k == 1:
-        np.matmul(w2, x.transpose(1, 0, 2, 3).reshape(cin, -1), out=y.reshape(cout, -1))
-        y += b[:, None, None, None]
+    if k > 1:
+        _conv2d(x, w, b, relu, y)
         return y.transpose(1, 0, 2, 3)
+    np.matmul(w.reshape(cout, cin), x.transpose(1, 0, 2, 3).reshape(cin, -1),
+              out=y.reshape(cout, -1))
+    y += b[:, None, None, None]
+    if relu:
+        np.maximum(y, 0, out=y)
+    return y.transpose(1, 0, 2, 3)
+
+
+def _conv2d(x, w, b, relu, y):
+    """conv2d of x for an odd k > 1, written block by block into y, an
+    array of shape lead + (N, H, W) whose lead axes flatten to Cout in
+    order (they may be strided). A private name, so that the deconv's
+    call does not go through a wrapper installed on conv2d."""
+    k = w.shape[2]
+    p = (k - 1) // 2
+    n, _, h, wd = x.shape
+    lead = y.shape[:-3]
+    w2 = w.reshape(w.shape[0], -1)
+    bias = b.reshape(lead + (1, 1, 1))
     wp = wd + 2 * p
     for n0, n1, r0, r1, cols in _patch_blocks(_pad_cm(x, p, slack=k - 1), k, n, h, wp, wp):
-        out = (w2 @ cols).reshape(cout, n1 - n0, r1 - r0, wp)[..., :wd]
-        np.add(out, b[:, None, None, None], out=y[:, n0:n1, r0:r1])
+        out = (w2 @ cols).reshape(lead + (n1 - n0, r1 - r0, wp))[..., :wd]
+        yb = y[..., n0:n1, r0:r1, :]
+        np.add(out, bias, out=yb)
+        if relu:
+            np.maximum(yb, 0, out=yb)
         del out  # before the next block's GEMM allocates its own
-    return y.transpose(1, 0, 2, 3)
 
 
 def conv2d_backward(gy, x, w, input_grad=True):
@@ -192,33 +222,34 @@ def conv2d_backward(gy, x, w, input_grad=True):
     return gxp[:, :, p : p + h, p : p + wd].transpose(1, 0, 2, 3), gw, gb
 
 
-def conv2d_transpose(x, w, b):
+def conv2d_transpose(x, w, b, relu=False):
     """Transposed convolution, kernel 4 / stride 2 / padding 1.
 
     x: [N,Cin,H,W], w: [Cin,Cout,4,4] -> [N,Cout,2H,2W]. Exact adjoint of
     the corresponding stride-2 convolution, so spatial dims double.
 
-    One GEMM per block, W[Cin, Cout*16]^T @ x, gives every tap's
-    contribution; tap (ky, kx) of input pixel (i, j) lands on padded output
-    pixel (ky + 2i, kx + 2j), one strided add per tap. Blocks that meet
-    at a seam both add into its output rows.
+    Run as a sub-pixel convolution: output pixel (2m + a, 2l + b) is met
+    by the taps of parity ky = a + 1, kx = b + 1 (mod 2), from input pixel
+    (m + (4-ky)//2 - 1, l + (4-kx)//2 - 1). So each of the four phases
+    (a, b) is a 3x3 "same" conv of x, and one conv with a [4*Cout, Cin,
+    3, 3] kernel (zero where no tap lands) computes them all. Its
+    epilogue writes each block of phase (a, b) straight into
+    y[:, :, a::2, b::2], so each output is written once; relu=True fuses
+    max(y, 0) into it.
     """
     _check_conv_args(x, w, b, "iokk")
     if w.shape[2] != 4:
         raise ShapeError(f"transposed conv kernel is fixed at 4, got {w.shape[2]}")
     n, cin, h, wd = x.shape
     cout = w.shape[1]
-    x_cm = x.transpose(1, 0, 2, 3).reshape(cin, n * h * wd)
-    wt = w.reshape(cin, cout * 16).T
-    buf = np.zeros((cout, n, 2 * h + 2, 2 * wd + 2), dtype=np.result_type(x, w, b))
-    for n0, n1, r0, r1 in _row_blocks(n, h, cout * 16 * wd * buf.itemsize):
-        t = wt @ x_cm[:, (n0 * h + r0) * wd : ((n1 - 1) * h + r1) * wd]
-        t = t.reshape(cout, 4, 4, n1 - n0, r1 - r0, wd)
-        for ky in range(4):
-            for kx in range(4):
-                buf[:, n0:n1, ky + 2 * r0 : ky + 2 * r1 : 2, kx : kx + 2 * wd : 2] += t[:, ky, kx]
-    y = buf[:, :, 1 : 2 * h + 1, 1 : 2 * wd + 1]
-    y += b[:, None, None, None]
+    k3 = np.zeros((2, 2, cout, cin, 3, 3), dtype=w.dtype)
+    for ky in range(4):
+        for kx in range(4):
+            k3[(ky + 1) % 2, (kx + 1) % 2, :, :, (4 - ky) // 2, (4 - kx) // 2] = w[:, :, ky, kx].T
+    y = np.empty((cout, n, 2 * h, 2 * wd), dtype=np.result_type(x, w, b))
+    # phases[a, b] is the view y[:, :, a::2, b::2]
+    phases = y.reshape(cout, n, h, 2, wd, 2).transpose(3, 5, 0, 1, 2, 4)
+    _conv2d(x, k3.reshape(4 * cout, cin, 3, 3), np.tile(b, 4), relu, phases)
     return y.transpose(1, 0, 2, 3)
 
 
@@ -247,22 +278,25 @@ def maxpool2(x, index=True):
     """2x2 max pooling with stride 2. Returns (pooled, argmax offsets).
 
     Offsets are flat indices into each window in row-major (dy, dx) order;
-    ties resolve to the first position scanned. The max is taken over the
-    four strided window views (a NaN anywhere in a window gives NaN, and
-    offset 3); with index=False no offsets are computed and None is
-    returned for them.
+    ties resolve to the first position scanned. The max is taken over row
+    pairs first, then over column pairs of that, so each input element is
+    read once (a NaN anywhere in a window gives NaN, and offset 3); the
+    offsets compare the four strided window views against it. This is
+    the four-view max bit for bit, except that a window tying +0 with -0
+    may return the other zero (np.maximum returns its second operand on a
+    tie; a relu output holds no -0). With index=False no offsets are
+    computed and None is returned for them.
     """
     if x.ndim != 4:
         raise ShapeError(f"input must be 4-D [N,C,H,W], got rank {x.ndim}")
     h, wd = x.shape[2:]
     if h % 2 or wd % 2:
         raise ShapeError(f"maxpool2 needs even H,W, got {h}x{wd}; pad the input first")
-    views = [x[:, :, dy::2, dx::2] for dy in (0, 1) for dx in (0, 1)]
-    y = np.maximum(views[0], views[1])
-    np.maximum(y, views[2], out=y)
-    np.maximum(y, views[3], out=y)
+    r = np.maximum(x[:, :, 0::2], x[:, :, 1::2])
+    y = np.maximum(r[..., 0::2], r[..., 1::2])
     if not index:
         return y, None
+    views = [x[:, :, dy::2, dx::2] for dy in (0, 1) for dx in (0, 1)]
     idx = np.where(views[2] == y, np.int8(2), np.int8(3))
     for k in (1, 0):
         idx = np.where(views[k] == y, np.int8(k), idx)
@@ -279,15 +313,18 @@ def maxpool2_backward(gy, idx, in_shape):
     return gx
 
 
-def fully_connected(x, w, b):
-    """Affine map: [N,D] @ [D,M] + [M]."""
+def fully_connected(x, w, b, relu=False):
+    """Affine map: [N,D] @ [D,M] + [M], then max(y, 0) if relu is set."""
     if x.ndim != 2 or w.ndim != 2:
         raise ShapeError(f"fully_connected expects 2-D input/weights, got {x.ndim}/{w.ndim}")
     if x.shape[1] != w.shape[0]:
         raise ShapeError(f"inner dims disagree: input axis 1 is {x.shape[1]}, weights axis 0 is {w.shape[0]}")
     if b.shape != (w.shape[1],):
         raise ShapeError(f"bias length {b.shape} does not match {w.shape[1]} outputs")
-    return x @ w + b
+    y = x @ w + b
+    if relu:
+        np.maximum(y, 0, out=y)
+    return y
 
 
 def fully_connected_backward(gy, x, w, input_grad=True):
@@ -299,7 +336,8 @@ def relu(x):
 
 
 def relu_backward(gy, x):
-    # gradient is 0 at x == 0 by convention
+    # x is the relu's input or its output: x > 0 is the same mask either
+    # way. The gradient is 0 at x == 0 by convention.
     return gy * (x > 0)
 
 

@@ -7,8 +7,12 @@ with std sqrt(2 / fan_in); biases start at zero. The checkpoint file is:
   magic "SAANCK1\\n", u32 LE version, u32 LE parameter count, then per
   parameter (sorted by name): u16 LE name length, UTF-8 name, u8 rank,
   rank x u32 LE dims, 32-bit LE float data in row-major order.
+
+Names are unique and every dim is nonzero; the loader refuses a file
+that breaks either rule or whose dims ask for more data than it holds.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -70,7 +74,7 @@ def save_checkpoint(params, path):
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(params)))
         for name in sorted(params):
-            arr = np.ascontiguousarray(params[name], dtype=np.float32)
+            arr = np.asarray(params[name], dtype=np.float32, order="C")  # keeps rank 0
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<H", len(encoded)))
             fh.write(encoded)
@@ -105,12 +109,17 @@ def load_checkpoint(path):
             name = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CodecError(f"parameter name is not UTF-8: {exc}", offset=off - name_len)
+        if name in params:
+            raise CodecError(f"parameter {name!r} appears twice", offset=off - name_len)
         raw, off = _take(buf, off, 1, "rank")
         rank = raw[0]
         raw, off = _take(buf, off, 4 * rank, "dims")
-        shape = struct.unpack(f"<{rank}I", raw) if rank else ()
-        size = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        raw, off = _take(buf, off, 4 * size, f"data of {name!r}")
+        shape = struct.unpack(f"<{rank}I", raw)
+        if 0 in shape:
+            raise CodecError(f"parameter {name!r} has a zero dim in {shape}", offset=off - 4 * rank)
+        # a Python int, so no product of u32 dims wraps; _take checks it
+        # against the bytes left before anything is read
+        raw, off = _take(buf, off, 4 * math.prod(shape), f"data of {name!r}")
         params[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
     if off != len(buf):
         raise CodecError(f"{len(buf) - off} trailing bytes after last parameter", offset=off)

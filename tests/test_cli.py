@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -16,7 +17,7 @@ from saan.density import compute_bins
 from saan.errors import ConfigError
 from saan.losses import mae as mae_fn
 from saan.network import Arch
-from saan.params import init_params, load_checkpoint, save_checkpoint
+from saan.params import MAGIC, VERSION, init_params, load_checkpoint, save_checkpoint
 
 
 def run_synth(out, images=12, size="32x32", cmin=3, cmax=9, seed=11):
@@ -363,6 +364,14 @@ class TestPredict:
         save_checkpoint(init_params(Arch.tiny(), np.random.default_rng(0)), tiny)
         assert self._predict(trained, tmp_path, tiny) == 1
         assert "shape" in capsys.readouterr().err
+
+    def test_dims_overflowing_int64_exit_1(self, trained, tmp_path, capsys):
+        # four dims of 65536: their product wraps a 64-bit int to 0
+        bad = tmp_path / "wrap.ck"
+        bad.write_bytes(MAGIC + struct.pack("<IIH", VERSION, 1, 1) + b"w"
+                        + struct.pack("<B4I", 4, *(65536,) * 4))
+        assert self._predict(trained, tmp_path, str(bad)) == 1
+        assert "truncated" in capsys.readouterr().err
 
     def test_nan_checkpoint_exits_2(self, trained, tmp_path, capsys):
         _, _, _, out_dir = trained

@@ -1,7 +1,12 @@
-"""Tests for the on-disk codecs: PGM, annotations, density maps, manifests."""
+"""Tests for the on-disk codecs: PGM, annotations, density maps,
+manifests and checkpoints."""
+
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saan import io_formats, params
 from saan.density import ScaleBins
@@ -208,6 +213,98 @@ class TestManifest:
         item = ManifestItem("images/scene_007.pgm", "anns/scene_007.txt", "train")
         path = io_formats.density_path("/data/run", item)
         assert path.endswith("density/scene_007.dm")
+
+
+def ck_entry(name, dims, data=b""):
+    """One checkpoint tensor record: name, rank, dims, then `data`."""
+    encoded = name.encode("utf-8")
+    return (struct.pack("<H", len(encoded)) + encoded + struct.pack("<B", len(dims))
+            + struct.pack(f"<{len(dims)}I", *dims) + data)
+
+
+def ck_blob(*entries):
+    return params.MAGIC + struct.pack("<II", params.VERSION, len(entries)) + b"".join(entries)
+
+
+# a small valid checkpoint, and the (offset, width) of its version, count,
+# name-length, rank and dim fields
+SMALL_CK = {"a.weight": np.arange(6, dtype=np.float32).reshape(2, 3),
+            "b.scale": np.float32(0.5).reshape(()), "c.bias": np.ones(4, np.float32)}
+
+
+def _small_ck_fields():
+    fields = [(8, 4), (12, 4)]
+    off = 16
+    for name in sorted(SMALL_CK):
+        arr = SMALL_CK[name]
+        fields.append((off, 2))
+        off += 2 + len(name)
+        fields.append((off, 1))
+        fields += [(off + 1 + 4 * i, 4) for i in range(arr.ndim)]
+        off += 1 + 4 * arr.ndim + 4 * arr.size
+    return fields
+
+
+@st.composite
+def mutated_small_ck(draw, blob):
+    """blob with up to five of its fields overwritten, favouring values at
+    the edges of the u16/u32 range, then cut at a drawn length."""
+    out = bytearray(blob)
+    for _ in range(draw(st.integers(0, 5))):
+        off, width = draw(st.sampled_from(_small_ck_fields()))
+        top = (1 << 8 * width) - 1
+        value = draw(st.sampled_from([0, 1, 2, 0xFFFF, 0x10000, top]) | st.integers(0, top))
+        out[off : off + width] = (value & top).to_bytes(width, "little")
+    return bytes(out[: draw(st.integers(0, len(out)))])
+
+
+class TestCheckpointCodec:
+    def test_dims_whose_product_wraps_int64(self, tmp_path):
+        # 65536**4 == 2**64: a wrapping product would read a 0-element tensor
+        path = tmp_path / "wrap.ck"
+        path.write_bytes(ck_blob(ck_entry("w", (65536,) * 4)))
+        with pytest.raises(CodecError, match="truncated") as exc:
+            params.load_checkpoint(path)
+        assert exc.value.offset == 16 + 2 + 1 + 1 + 16
+
+    def test_zero_dim_refused(self, tmp_path):
+        path = tmp_path / "zero.ck"
+        path.write_bytes(ck_blob(ck_entry("w", (0, 4294967295))))
+        with pytest.raises(CodecError, match="zero dim") as exc:
+            params.load_checkpoint(path)
+        assert exc.value.offset == 16 + 2 + 1 + 1
+
+    def test_duplicate_name_refused(self, tmp_path):
+        one = ck_entry("w", (2,), np.ones(2, "<f4").tobytes())
+        path = tmp_path / "dup.ck"
+        path.write_bytes(ck_blob(one, one))
+        with pytest.raises(CodecError, match="twice") as exc:
+            params.load_checkpoint(path)
+        assert exc.value.offset == 16 + len(one) + 2
+
+    def test_small_checkpoint_round_trips(self, tmp_path):
+        path = tmp_path / "small.ck"
+        params.save_checkpoint(SMALL_CK, path)
+        back = params.load_checkpoint(path)
+        assert sorted(back) == sorted(SMALL_CK)
+        for name, arr in SMALL_CK.items():
+            assert back[name].shape == arr.shape
+            np.testing.assert_array_equal(back[name], arr)
+        blob = path.read_bytes()
+        assert blob == ck_blob(*(ck_entry(n, a.shape, a.tobytes()) for n, a in sorted(SMALL_CK.items())))
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(data=st.data())
+    def test_mutated_headers_raise_only_codec_errors(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "mutated.ck"
+        params.save_checkpoint(SMALL_CK, path)
+        blob = data.draw(mutated_small_ck(path.read_bytes()))
+        path.write_bytes(blob)
+        try:
+            back = params.load_checkpoint(path)
+        except CodecError:
+            return
+        assert all(arr.dtype == np.float32 for arr in back.values())
 
 
 class TestAtomicWrites:

@@ -229,6 +229,66 @@ class TestModelBackward:
         assert {layer for layer, flag in calls.items() if not flag} == image_input
         assert set(grads) == set(p)
 
+    @staticmethod
+    def _walk(out, arch, p):
+        grads_out = {"density": np.ones_like(out.density),
+                     "global_logits": np.ones_like(out.global_logits),
+                     "local_logits": np.ones_like(out.local_logits)}
+        return network.model_backward(grads_out, out, p, arch)
+
+    def test_caches_hold_post_activation_outputs(self, rng, tiny):
+        arch, p = tiny
+        out = network.model_forward(rng.uniform(0, 1, (2, 1, 16, 16)), p, arch)
+        c = out.cache
+        stacks = list(c["branch_caches"]) + [c["gsa_cache"], c["lsa_cache"], c["fn_cache"]]
+        weighted = ("conv", "deconv", "fc")
+        pairs = 0
+        for caches in stacks:
+            for entry, nxt in zip(caches, caches[1:]):
+                if entry[0] in weighted and nxt[0] in weighted:
+                    # the output the layer cached is the array the next one read
+                    assert entry[3] is nxt[2]
+                    pairs += 1
+            for entry in caches:
+                if entry[0] in weighted and entry[4] == "relu":
+                    assert entry[3].min() >= 0
+        assert pairs >= 8
+        for i in range(3):
+            assert c["branch_caches"][i][-1][3] is out.features[i]
+
+    def test_grads_match_an_unfused_forward(self, rng, tiny, monkeypatch):
+        # the parent-style forward: each weighted op, then a separate relu,
+        # with the relu backward masking on the pre-activation it kept
+        arch, p = tiny
+        x = rng.uniform(0, 1, (2, 1, 16, 16))
+        fused = network.model_forward(x, p, arch)
+        fused_grads = self._walk(fused, arch, p)
+
+        pre_of = {}
+
+        def unfused(op):
+            def run(x_, w, b, relu=False):
+                pre = op(x_, w, b)
+                if not relu:
+                    return pre
+                y = ops.relu(pre)
+                pre_of[id(y)] = pre
+                return y
+            return run
+
+        for name in ("conv2d", "conv2d_transpose", "fully_connected"):
+            monkeypatch.setattr(ops, name, unfused(getattr(ops, name)))
+        monkeypatch.setattr(ops, "relu_backward", lambda gy, y: gy * (pre_of[id(y)] > 0))
+        oracle = network.model_forward(x, p, arch)
+        oracle_grads = self._walk(oracle, arch, p)
+
+        assert len(pre_of) == sum(1 for _, spec, _ in arch.subnets()
+                                  for e in spec if e[-1] == "relu")
+        assert oracle.density.tobytes() == fused.density.tobytes()
+        assert sorted(oracle_grads) == sorted(fused_grads)
+        for name, g in fused_grads.items():
+            assert g.tobytes() == oracle_grads[name].tobytes(), name
+
     def test_cache_free_outputs_refused(self, rng, tiny):
         arch, p = tiny
         out = network.model_forward(rng.uniform(0, 1, (1, 1, 16, 16)), p, arch,

@@ -81,6 +81,20 @@ class TestConv2d:
         assert len(list(ops._row_blocks(2, 7, row_bytes))) == blocks
         np.testing.assert_array_equal(ops.conv2d(x, w, b), naive_conv2d(x, w, b))
 
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_fused_relu_matches_unfused(self, rng, monkeypatch, k):
+        # a one-row budget: the epilogue of every one-row band applies the
+        # relu (k == 1 applies it once to the whole output)
+        x = dyadic(rng, (2, 3, 7, 5))
+        w = dyadic(rng, (2, 3, k, k))
+        b = dyadic(rng, 2)
+        row_bytes = 3 * k * k * (5 + k - 1) * x.itemsize
+        monkeypatch.setattr(ops, "_PATCH_BYTES", row_bytes)
+        assert len(list(ops._row_blocks(2, 7, row_bytes))) == 14
+        fused = ops.conv2d(x, w, b, relu=True)
+        np.testing.assert_array_equal(fused, ops.relu(ops.conv2d(x, w, b)))
+        np.testing.assert_array_equal(fused, ops.relu(naive_conv2d(x, w, b)))
+
     @pytest.mark.parametrize("k", [3, 7])
     @pytest.mark.parametrize("rows, blocks", [(1, 14), (3, 6), (7, 2), (14, 1)])
     def test_blocked_backward_matches_naive_oracle(self, rng, monkeypatch, k, rows, blocks):
@@ -171,15 +185,18 @@ class TestConv2dTranspose:
 
     @pytest.mark.parametrize("rows, blocks", [(1, 10), (2, 6), (5, 2), (10, 1)])
     def test_blocked_matches_naive_oracle(self, rng, monkeypatch, rows, blocks):
-        # seams between row bands add into the same output rows
+        # the sub-pixel conv's patch rows: Cin * 3 * 3 taps over the padded
+        # width; each block writes its rows of all four output phases, with
+        # and without the fused relu
         x = dyadic(rng, (2, 3, 5, 3))
         w = dyadic(rng, (3, 2, 4, 4))
         b = dyadic(rng, 2)
-        row_bytes = 2 * 16 * 3 * x.itemsize
+        row_bytes = 3 * 9 * (3 + 2) * x.itemsize
         monkeypatch.setattr(ops, "_PATCH_BYTES", rows * row_bytes)
         assert len(list(ops._row_blocks(2, 5, row_bytes))) == blocks
-        np.testing.assert_array_equal(
-            ops.conv2d_transpose(x, w, b), naive_conv2d_transpose(x, w, b))
+        want = naive_conv2d_transpose(x, w, b)
+        np.testing.assert_array_equal(ops.conv2d_transpose(x, w, b), want)
+        np.testing.assert_array_equal(ops.conv2d_transpose(x, w, b, relu=True), ops.relu(want))
 
     @pytest.mark.parametrize("input_grad", [True, False])
     def test_backward_matches_naive_oracle(self, rng, input_grad):
@@ -262,6 +279,19 @@ class TestMaxPool2:
         assert np.isnan(y[0, 1, 1, 1])
         y[0, 1, 1, 1] = 0.0
         assert np.all(np.isfinite(y))
+
+    @pytest.mark.parametrize("index", [True, False])
+    @pytest.mark.parametrize("pos", range(4))
+    def test_nan_in_each_window_position(self, rng, index, pos):
+        # the row max and the column max each see the NaN whichever
+        # operand holds it
+        x = dyadic(rng, (1, 1, 4, 4))
+        x[0, 0, 2 + pos // 2, 2 + pos % 2] = np.nan
+        y, idx = ops.maxpool2(x, index=index)
+        assert np.isnan(y[0, 0, 1, 1])
+        assert np.isfinite(np.delete(y.ravel(), 3)).all()
+        if index:
+            assert idx[0, 0, 1, 1] == 3
 
     @pytest.mark.parametrize("shape", [(2, 3, 6, 8), (2, 3, 7, 5)])
     def test_backward_matches_naive_oracle(self, rng, shape):
