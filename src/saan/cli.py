@@ -87,6 +87,8 @@ def _split_labels(n, seed):
 
 def cmd_synth(args):
     height, width = _parse_size(args.size)
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     if args.images <= 0:
         raise ConfigError(f"--images must be positive, got {args.images}")
     if args.count_min < 0 or args.count_min > args.count_max:
@@ -137,24 +139,30 @@ def cmd_prepare(args):
     return 0
 
 
+def _train_run(manifest, config, base, on_phase_end=None, **flags):
+    """Run train.train into config.out_dir: train.log, the epoch
+    checkpoints and final.ck."""
+    os.makedirs(config.out_dir, exist_ok=True)
+    with open(os.path.join(config.out_dir, "train.log"), "w", encoding="utf-8") as log_fh:
+        def log(record):
+            log_fh.write(json.dumps(record) + "\n")
+        params = train.train(manifest, config, base, log=log, on_phase_end=on_phase_end,
+                             **flags)
+    save_checkpoint(params, os.path.join(config.out_dir, "final.ck"))
+    return params
+
+
 def cmd_train(args):
     config = load_config(args.config)
     manifest = io_formats.load_manifest(config.manifest)
     base = os.path.dirname(os.path.abspath(config.manifest))
-    os.makedirs(config.out_dir, exist_ok=True)
-    log_path = os.path.join(config.out_dir, "train.log")
-    with open(log_path, "w", encoding="utf-8") as log_fh:
-        def log(record):
-            log_fh.write(json.dumps(record) + "\n")
-        params = train.train_phase1(manifest, config, base, log=log)
-        phase1_path = os.path.join(config.out_dir, "phase1.ck")
-        save_checkpoint(params, phase1_path)
-        params = train.train_phase2(params, manifest, config, base, log=log)
-        final_path = os.path.join(config.out_dir, "final.ck")
-        save_checkpoint(params, final_path)
-    print(f"wrote {phase1_path}")
-    print(f"wrote {final_path}")
-    print(f"wrote {log_path}")
+
+    def on_phase_end(phase, params):
+        if phase == 1:
+            save_checkpoint(params, os.path.join(config.out_dir, "phase1.ck"))
+    _train_run(manifest, config, base, on_phase_end)
+    for name in ("phase1.ck", "final.ck", "train.log"):
+        print(f"wrote {os.path.join(config.out_dir, name)}")
     return 0
 
 
@@ -194,6 +202,8 @@ def cmd_predict(args):
 
 
 def cmd_gradcheck(args):
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     results = run_suite(seed=args.seed)
     ok = True
     for r in results:
@@ -207,14 +217,10 @@ def cmd_gradcheck(args):
 
 
 _MODEL_VARIANTS = [
-    ("base", dict(gsa_enabled=False, lsa_enabled=False,
-                  include_gsa=False, include_lsa=False)),
-    ("base+GSA", dict(gsa_enabled=True, lsa_enabled=False,
-                      include_gsa=True, include_lsa=False)),
-    ("base+LSA", dict(gsa_enabled=False, lsa_enabled=True,
-                      include_gsa=False, include_lsa=True)),
-    ("full", dict(gsa_enabled=True, lsa_enabled=True,
-                  include_gsa=True, include_lsa=True)),
+    ("base", dict(gsa_enabled=False, lsa_enabled=False)),
+    ("base+GSA", dict(gsa_enabled=True, lsa_enabled=False)),
+    ("base+LSA", dict(gsa_enabled=False, lsa_enabled=True)),
+    ("full", dict(gsa_enabled=True, lsa_enabled=True)),
 ]
 
 _LOSS_VARIANTS = [
@@ -232,13 +238,7 @@ def _slug(name):
 def _run_ablation_variant(manifest, config, base, kind, name, flags):
     variant_cfg = replace(
         config, out_dir=os.path.join(config.out_dir, "ablate", f"{kind}_{_slug(name)}"))
-    os.makedirs(variant_cfg.out_dir, exist_ok=True)
-    log_path = os.path.join(variant_cfg.out_dir, "train.log")
-    with open(log_path, "w", encoding="utf-8") as log_fh:
-        def log(record):
-            log_fh.write(json.dumps(record) + "\n")
-        params = train.train_variant(manifest, variant_cfg, base, log=log, **flags)
-    save_checkpoint(params, os.path.join(variant_cfg.out_dir, "final.ck"))
+    params = _train_run(manifest, variant_cfg, base, **flags)
     v_mae, v_mse, _ = train.evaluate(
         params, manifest, base, "test",
         lsa_enabled=flags.get("lsa_enabled", True),
@@ -263,6 +263,7 @@ def cmd_ablate(args):
     config = load_config(args.config)
     manifest = io_formats.load_manifest(config.manifest)
     base = os.path.dirname(os.path.abspath(config.manifest))
+    train.require_splits(manifest, ["train", "test"])
     model_rows = []
     full_row = None
     for name, flags in _MODEL_VARIANTS:
@@ -289,8 +290,7 @@ def cmd_ablate(args):
         loss_rows.append(row)
     report = {"model_variants": model_rows, "loss_variants": loss_rows}
     json_path = os.path.join(config.out_dir, "ablation.json")
-    os.makedirs(config.out_dir, exist_ok=True)
-    with open(json_path, "w", encoding="utf-8") as fh:
+    with io_formats.atomic_open(json_path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
     print(_render_table("model variants", model_rows))

@@ -1,12 +1,15 @@
 """Two-phase Adam training, checkpointing, and evaluation over a manifest.
 
+One schedule, `train`, serves `saan train` and every ablation variant.
 Phase 1 trains MFE+GSA+FN with local attention forced to one; phase 2
-re-initializes LSA and trains every sub-network under the full loss.
-The whole run is a deterministic function of (config, manifest).
+re-initializes LSA and trains every sub-network under the full loss. A
+variant without LSA runs phase 1 alone over both epoch budgets.
+`_run_phase` alone decides what a phase turns on. The whole run is a
+deterministic function of (config, manifest).
 """
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,6 +42,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.crop_size % 4 or self.crop_size <= 0:
             raise ConfigError(f"crop_size must be a positive multiple of 4, got {self.crop_size}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.phase1_epochs < 0 or self.phase2_epochs < 0:
             raise ConfigError("epoch counts must be >= 0")
         if self.learning_rate <= 0:
@@ -145,8 +150,14 @@ def _check_finite_report(report, phase, step):
         )
 
 
-def _run_phase(params, samples, bins, config, arch, phase, epochs,
-               lsa_enabled, include_gsa, include_lsa, log, gsa_enabled=True):
+def _run_phase(params, samples, bins, config, arch, phase, epochs, log,
+               gsa_enabled=True, include_gsa=True, include_lsa=True):
+    """Train params in place for epochs. Phase 1 holds local attention at
+    one; phase 2 first re-initializes LSA from [seed, 1], then trains it."""
+    lsa_enabled = phase == 2
+    if lsa_enabled:
+        params.update(init_params(arch, np.random.default_rng([config.seed, 1]),
+                                  prefix="lsa."))
     opt = AdamState()
     step = 0
     n = len(samples)
@@ -189,80 +200,57 @@ def _save_epoch_checkpoint(params, out_dir, phase, epoch):
     save_checkpoint(params, os.path.join(ckpt_dir, f"phase{phase}_epoch{epoch:03d}.ck"))
 
 
-def _load_training_set(manifest, base_dir):
+def require_splits(manifest, splits):
+    """Refuse a manifest that has no bins or an empty split among splits."""
     if manifest.bins is None:
         raise ManifestError("manifest has no bins; run prepare first")
-    samples = load_split(manifest, base_dir, "train")
-    if not samples:
-        raise ManifestError("manifest has no training items")
-    return samples, manifest.bins
+    for split in splits:
+        if not manifest.split_items(split):
+            raise ManifestError(f"split {split!r} is empty")
+
+
+def _load_training_set(manifest, base_dir):
+    require_splits(manifest, ["train"])
+    return load_split(manifest, base_dir, "train"), manifest.bins
+
+
+def train(manifest, config, base_dir, arch=None, *, gsa_enabled=True, lsa_enabled=True,
+          include_gsa=True, include_lsa=True, log=None, on_phase_end=None):
+    """The training schedule of `saan train` and of every ablation variant.
+
+    Parameters start from init_params([seed, 0]). With LSA, phase 1 runs
+    phase1_epochs and phase 2 (LSA re-initialized) phase2_epochs; without
+    it, one phase 1 runs both budgets. A head switched off by gsa_enabled
+    or lsa_enabled drops its loss term; include_gsa/include_lsa drop a
+    term while its head still runs. on_phase_end(phase, params) runs after
+    each phase with the live params, which phase 2 goes on to update.
+    """
+    arch = arch or Arch.default()
+    samples, bins = _load_training_set(manifest, base_dir)
+    params = init_params(arch, np.random.default_rng([config.seed, 0]))
+    if lsa_enabled:
+        phases = [(1, config.phase1_epochs), (2, config.phase2_epochs)]
+    else:
+        phases = [(1, config.phase1_epochs + config.phase2_epochs)]
+    for phase, epochs in phases:
+        params = _run_phase(params, samples, bins, config, arch, phase, epochs, log,
+                            gsa_enabled, include_gsa, include_lsa)
+        if on_phase_end is not None:
+            on_phase_end(phase, params)
+    return params
 
 
 def train_phase1(manifest, config, base_dir, arch=None, log=None):
-    """Optimize L_DM + lambda_g * L_GSA with local attention forced to one.
-
-    LSA parameters are created at initialization but never updated:
-    phase 1 leaves them bitwise equal to their initial values.
-    """
-    arch = arch or Arch.default()
-    samples, bins = _load_training_set(manifest, base_dir)
-    params = init_params(arch, np.random.default_rng([config.seed, 0]))
-    return _run_phase(
-        params, samples, bins, config, arch,
-        phase=1, epochs=config.phase1_epochs,
-        lsa_enabled=False, include_gsa=True, include_lsa=False, log=log,
-    )
+    """Phase 1 of `train` alone: LSA parameters keep their initial values."""
+    return train(manifest, replace(config, phase2_epochs=0), base_dir, arch,
+                 lsa_enabled=False, log=log)
 
 
 def train_phase2(params, manifest, config, base_dir, arch=None, log=None):
-    """Optimize the full loss over every sub-network.
-
-    MFE/GSA/FN continue from the phase-1 values; LSA restarts from a
-    fresh seeded initialization.
-    """
-    arch = arch or Arch.default()
+    """Phase 2 of `train` alone: continues from phase-1 params, LSA re-initialized."""
     samples, bins = _load_training_set(manifest, base_dir)
-    params.update(init_params(arch, np.random.default_rng([config.seed, 1]),
-                              prefix="lsa."))
-    return _run_phase(
-        params, samples, bins, config, arch,
-        phase=2, epochs=config.phase2_epochs,
-        lsa_enabled=True, include_gsa=True, include_lsa=True, log=log,
-    )
-
-
-def train_variant(manifest, config, base_dir, arch=None, *, gsa_enabled=True,
-                  lsa_enabled=True, include_gsa=True, include_lsa=True, log=None):
-    """Train one ablation variant under the shared seed and epoch budget.
-
-    Variants with LSA enabled follow the two-phase schedule (LSA held at
-    one for phase 1, then re-initialized); variants without LSA train a
-    single phase over the combined epoch budget.
-    """
-    arch = arch or Arch.default()
-    samples, bins = _load_training_set(manifest, base_dir)
-    params = init_params(arch, np.random.default_rng([config.seed, 0]))
-    if not lsa_enabled:
-        return _run_phase(
-            params, samples, bins, config, arch,
-            phase=1, epochs=config.phase1_epochs + config.phase2_epochs,
-            lsa_enabled=False, gsa_enabled=gsa_enabled,
-            include_gsa=include_gsa, include_lsa=False, log=log,
-        )
-    params = _run_phase(
-        params, samples, bins, config, arch,
-        phase=1, epochs=config.phase1_epochs,
-        lsa_enabled=False, gsa_enabled=gsa_enabled,
-        include_gsa=include_gsa, include_lsa=False, log=log,
-    )
-    params.update(init_params(arch, np.random.default_rng([config.seed, 1]),
-                              prefix="lsa."))
-    return _run_phase(
-        params, samples, bins, config, arch,
-        phase=2, epochs=config.phase2_epochs,
-        lsa_enabled=True, gsa_enabled=gsa_enabled,
-        include_gsa=include_gsa, include_lsa=include_lsa, log=log,
-    )
+    return _run_phase(params, samples, bins, config, arch or Arch.default(),
+                      2, config.phase2_epochs, log)
 
 
 def evaluate(params, manifest, base_dir, split, arch=None,

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 import saan
-from saan import io_formats
+from saan import io_formats, train
 from saan.cli import CONFIG_DEFAULTS, load_config, main
 from saan.density import compute_bins
 from saan.errors import ConfigError
+from saan.io_formats import Manifest, ManifestItem
 from saan.losses import mae as mae_fn
 from saan.network import Arch
 from saan.params import MAGIC, VERSION, init_params, load_checkpoint, save_checkpoint
@@ -103,6 +104,10 @@ class TestSynth:
     def test_invalid_size_exits_1(self, tmp_path, capsys):
         assert run_synth(tmp_path / "d", size="64by64") == 1
         assert "size" in capsys.readouterr().err
+
+    def test_negative_seed_exits_1(self, tmp_path, capsys):
+        assert run_synth(tmp_path, seed=-1) == 1
+        assert "--seed" in capsys.readouterr().err
 
     def test_inverted_count_range_exits_1(self, tmp_path):
         assert run_synth(tmp_path / "e", cmin=9, cmax=3) == 1
@@ -266,6 +271,23 @@ class TestTrain:
         assert f"{side}x{side}" in err and "32x32" in err
         assert not os.path.exists(out_dir / "final.ck")
 
+    def test_reads_the_training_split_once(self, trained, tmp_path, monkeypatch):
+        _, _, config_path, _ = trained
+        monkeypatch.setattr(Arch, "default", Arch.tiny)
+        calls = []
+        real = train.load_split
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(train, "load_split", counting)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**json.load(open(config_path)),
+                                      "out_dir": str(tmp_path / "out")}))
+        assert main(["train", "--config", str(config)]) == 0
+        assert calls == ["train"]
+
     def test_rerun_reproduces_final_checkpoint(self, trained):
         _, _, config_path, out_dir = trained
         final = os.path.join(out_dir, "final.ck")
@@ -393,6 +415,10 @@ class TestThreadCap:
 
 
 class TestGradcheck:
+    def test_negative_seed_exits_1(self, capsys):
+        assert main(["gradcheck", "--seed", "-1"]) == 1
+        assert "--seed" in capsys.readouterr().err
+
     def test_fresh_build_passes(self, capsys):
         assert main(["gradcheck", "--seed", "0"]) == 0
         out = capsys.readouterr().out
@@ -403,6 +429,34 @@ class TestGradcheck:
 
 
 class TestAblate:
+    def test_variant_without_lsa_logs_one_phase(self, prepared, tmp_path, monkeypatch):
+        _, manifest_path = prepared
+        monkeypatch.setattr(Arch, "default", Arch.tiny)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"manifest": manifest_path, "out_dir": str(tmp_path / "out"),
+                                      "phase1_epochs": 1, "phase2_epochs": 2,
+                                      "crop_size": 32}))
+        assert main(["ablate", "--config", str(config)]) == 0
+        for variant in ("model_base", "model_base_gsa"):
+            with open(tmp_path / "out" / "ablate" / variant / "train.log") as fh:
+                records = [json.loads(line) for line in fh]
+            assert {r["phase"] for r in records} == {1}
+            assert {r["epoch"] for r in records} == {1, 2, 3}
+
+    def test_empty_test_split_exits_1_before_training(self, prepared, tmp_path, capsys):
+        _, manifest_path = prepared
+        manifest = io_formats.load_manifest(manifest_path)
+        items = [ManifestItem(it.image, it.ann, "val" if it.split == "test" else it.split)
+                 for it in manifest.items]
+        no_test = os.path.join(os.path.dirname(manifest_path), "no_test.json")
+        io_formats.save_manifest(no_test, Manifest(items=items, bins=manifest.bins))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"manifest": no_test, "out_dir": str(tmp_path / "out"),
+                                      "phase1_epochs": 1, "phase2_epochs": 1}))
+        assert main(["ablate", "--config", str(config)]) == 1
+        assert "split 'test' is empty" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out" / "ablate")
+
     def test_tables_and_json(self, trained, capsys):
         _, _, config_path, out_dir = trained
         assert main(["ablate", "--config", config_path]) == 0
@@ -438,6 +492,13 @@ class TestExitCodes:
         path.write_text('{"learning_rte": 0.1}')
         assert main(["train", "--config", str(path)]) == 1
         assert "unknown config keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_negative_config_seed_exits_1(self, tmp_path, capsys, command):
+        path = tmp_path / "c.json"
+        path.write_text('{"seed": -1}')
+        assert main([command, "--config", str(path)]) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
 
     def test_non_utf8_config_exits_1(self, tmp_path, capsys):
         path = tmp_path / "c.json"

@@ -76,6 +76,10 @@ class TestTrainConfig:
         cfg = TrainConfig(manifest="m.json", out_dir="out")
         assert cfg.crop_size == 128 and cfg.learning_rate == 1e-4
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            TrainConfig(seed=-1)
+
     def test_bad_crop_rejected(self):
         with pytest.raises(ConfigError, match="crop_size"):
             TrainConfig(manifest="m", out_dir="o", crop_size=30)
@@ -226,6 +230,41 @@ class TestPhase2:
             return train.train_phase2(p1, manifest, cfg, root, arch=arch)
 
         assert params_equal(run(), run())
+
+
+class TestSchedule:
+    def test_equals_phase1_then_phase2(self, dataset):
+        manifest, root = dataset
+        cfg = tiny_config(root, phase1_epochs=2, phase2_epochs=1)
+        arch = Arch.tiny()
+        p1 = train.train_phase1(manifest, cfg, root, arch=arch)
+        expected = train.train_phase2(p1, manifest, cfg, root, arch=arch)
+        assert params_equal(train.train(manifest, cfg, root, arch), expected)
+
+    def test_on_phase_end_sees_phase1_params(self, dataset):
+        manifest, root = dataset
+        cfg = tiny_config(root, phase1_epochs=2, phase2_epochs=1)
+        arch = Arch.tiny()
+        seen = []
+        train.train(manifest, cfg, root, arch, on_phase_end=lambda phase, params: seen.append(
+            (phase, {k: v.copy() for k, v in params.items()})))
+        assert [phase for phase, _ in seen] == [1, 2]
+        assert params_equal(seen[0][1], train.train_phase1(manifest, cfg, root, arch=arch))
+
+    def test_without_lsa_one_phase_runs_both_budgets(self, dataset):
+        manifest, root = dataset
+        cfg = tiny_config(root, phase1_epochs=1, phase2_epochs=2)
+        arch = Arch.tiny()
+        logs, phases = [], []
+        got = train.train(manifest, cfg, root, arch, lsa_enabled=False, log=logs.append,
+                          on_phase_end=lambda phase, params: phases.append(phase))
+        assert phases == [1]
+        assert {r["phase"] for r in logs} == {1}
+        assert {r["epoch"] for r in logs} == {1, 2, 3}
+        init = init_params(arch, np.random.default_rng([cfg.seed, 0]))
+        for k, v in init.items():
+            if k.startswith("lsa."):
+                np.testing.assert_array_equal(got[k], v)
 
 
 class TestEvaluate:
