@@ -139,14 +139,14 @@ def cmd_prepare(args):
     return 0
 
 
-def _train_run(manifest, config, base, on_phase_end=None, **flags):
-    """Run train.train into config.out_dir: train.log, the epoch
-    checkpoints and final.ck."""
+def _train_run(training_set, config, on_phase_end=None, **flags):
+    """Run train.train on (samples, bins) into config.out_dir: train.log,
+    the epoch checkpoints and final.ck."""
     os.makedirs(config.out_dir, exist_ok=True)
     with open(os.path.join(config.out_dir, "train.log"), "w", encoding="utf-8") as log_fh:
         def log(record):
             log_fh.write(json.dumps(record) + "\n")
-        params = train.train(manifest, config, base, log=log, on_phase_end=on_phase_end,
+        params = train.train(*training_set, config, log=log, on_phase_end=on_phase_end,
                              **flags)
     save_checkpoint(params, os.path.join(config.out_dir, "final.ck"))
     return params
@@ -155,12 +155,13 @@ def _train_run(manifest, config, base, on_phase_end=None, **flags):
 def cmd_train(args):
     config = load_config(args.config)
     manifest = io_formats.load_manifest(config.manifest)
-    base = os.path.dirname(os.path.abspath(config.manifest))
+    training_set = train.load_training_set(
+        manifest, os.path.dirname(os.path.abspath(config.manifest)))
 
     def on_phase_end(phase, params):
         if phase == 1:
             save_checkpoint(params, os.path.join(config.out_dir, "phase1.ck"))
-    _train_run(manifest, config, base, on_phase_end)
+    _train_run(training_set, config, on_phase_end)
     for name in ("phase1.ck", "final.ck", "train.log"):
         print(f"wrote {os.path.join(config.out_dir, name)}")
     return 0
@@ -223,28 +224,18 @@ _MODEL_VARIANTS = [
     ("full", dict(gsa_enabled=True, lsa_enabled=True)),
 ]
 
+# a dropped loss term is a zero weight on the full model; the row with no
+# override is the full model variant itself
 _LOSS_VARIANTS = [
-    ("L_DM", dict(include_gsa=False, include_lsa=False)),
-    ("L_DM+L_LSA", dict(include_gsa=False, include_lsa=True)),
-    ("L_DM+L_GSA", dict(include_gsa=True, include_lsa=False)),
-    ("L_DM+L_GSA+L_LSA", dict(include_gsa=True, include_lsa=True)),
+    ("L_DM", dict(lambda_g=0.0, lambda_l=0.0)),
+    ("L_DM+L_LSA", dict(lambda_g=0.0)),
+    ("L_DM+L_GSA", dict(lambda_l=0.0)),
+    ("L_DM+L_GSA+L_LSA", dict()),
 ]
 
 
 def _slug(name):
     return re.sub(r"[^a-z0-9]+", "_", name.lower()).strip("_")
-
-
-def _run_ablation_variant(manifest, config, base, kind, name, flags):
-    variant_cfg = replace(
-        config, out_dir=os.path.join(config.out_dir, "ablate", f"{kind}_{_slug(name)}"))
-    params = _train_run(manifest, variant_cfg, base, **flags)
-    v_mae, v_mse, _ = train.evaluate(
-        params, manifest, base, "test",
-        lsa_enabled=flags.get("lsa_enabled", True),
-        gsa_enabled=flags.get("gsa_enabled", True),
-    )
-    return params, {"name": name, "mae": v_mae, "mse": v_mse}
 
 
 def _render_table(title, rows):
@@ -264,10 +255,20 @@ def cmd_ablate(args):
     manifest = io_formats.load_manifest(config.manifest)
     base = os.path.dirname(os.path.abspath(config.manifest))
     train.require_splits(manifest, ["train", "test"])
+    training_set = train.load_training_set(manifest, base)
+
+    def run_variant(kind, name, overrides, flags):
+        """Train one variant into ablate/<kind>_<name>/ and score it on test."""
+        variant_cfg = replace(config, **overrides, out_dir=os.path.join(
+            config.out_dir, "ablate", f"{kind}_{_slug(name)}"))
+        params = _train_run(training_set, variant_cfg, **flags)
+        v_mae, v_mse, _ = train.evaluate(params, manifest, base, "test", **flags)
+        return params, {"name": name, "mae": v_mae, "mse": v_mse}
+
     model_rows = []
     full_row = None
     for name, flags in _MODEL_VARIANTS:
-        params, row = _run_ablation_variant(manifest, config, base, "model", name, flags)
+        params, row = run_variant("model", name, {}, flags)
         if name == "base":
             # the disabled-attention contract: both tensors identically one;
             # g and l are read from the caches, so this forward keeps them
@@ -281,12 +282,12 @@ def cmd_ablate(args):
             full_row = row
         model_rows.append(row)
     loss_rows = []
-    for name, flags in _LOSS_VARIANTS:
-        if flags["include_gsa"] and flags["include_lsa"]:
+    for name, overrides in _LOSS_VARIANTS:
+        if not overrides:
             # identical run to the full model variant, reuse its metrics
             loss_rows.append({"name": name, "mae": full_row["mae"], "mse": full_row["mse"]})
             continue
-        _, row = _run_ablation_variant(manifest, config, base, "loss", name, flags)
+        _, row = run_variant("loss", name, overrides, {})
         loss_rows.append(row)
     report = {"model_variants": model_rows, "loss_variants": loss_rows}
     json_path = os.path.join(config.out_dir, "ablation.json")

@@ -77,26 +77,26 @@ def loss_lsa(local_logits, l_gt):
     return value, np.ascontiguousarray(g.reshape(n, h, w, k).transpose(0, 3, 1, 2))
 
 
-def total_loss(out, gt_density, g_gt, l_gt, lambda_g, lambda_l,
-               include_gsa=True, include_lsa=True):
+def total_loss(out, gt_density, g_gt, l_gt, lambda_g, lambda_l):
     """Full objective over a ForwardOutputs bundle.
 
     Returns (LossReport, grads) where grads maps output names
     ("density", "global_logits", "local_logits") to gradients of the
-    weighted total w.r.t. that output. Terms are dropped (component
-    reported as 0) when the corresponding head is disabled.
+    weighted total w.r.t. that output. A head switched off in the forward
+    pass drops its term (component reported as 0, no gradient key); a
+    zero lambda keeps the term's value in the report but not in l_final.
     """
     grads = {}
     dm_value, dm_grad = loss_dm(out.density, gt_density)
     grads["density"] = dm_grad
 
     gsa_value = 0.0
-    if include_gsa and out.global_logits is not None:
+    if out.global_logits is not None:
         gsa_value, gsa_grad = loss_gsa(out.global_logits, g_gt)
         grads["global_logits"] = lambda_g * gsa_grad
 
     lsa_value = 0.0
-    if include_lsa and out.local_logits is not None:
+    if out.local_logits is not None:
         lsa_value, lsa_grad = loss_lsa(out.local_logits, l_gt)
         grads["local_logits"] = lambda_l * lsa_grad
 

@@ -9,7 +9,7 @@ deterministic function of (config, manifest).
 """
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -40,6 +40,10 @@ class TrainConfig:
     sigma: float = 4.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is float and not np.isfinite(value):
+                raise ConfigError(f"{f.name} must be a finite number, got {value}")
         if self.crop_size % 4 or self.crop_size <= 0:
             raise ConfigError(f"crop_size must be a positive multiple of 4, got {self.crop_size}")
         if self.seed < 0:
@@ -96,21 +100,18 @@ class Sample:
     density: np.ndarray  # [H, W] float64
 
 
-def load_split(manifest, base_dir, split, with_density=True):
+def load_split(manifest, base_dir, split):
     """Materialize one split in memory as a list of Sample."""
     samples = []
     for item in manifest.split_items(split):
         image = io_formats.read_pgm(os.path.join(base_dir, item.image))[None, :, :]
         points = io_formats.read_annotations(os.path.join(base_dir, item.ann))
-        density = None
-        if with_density:
-            dm = io_formats.load_density(io_formats.density_path(base_dir, item))
-            if dm.shape != image.shape[1:]:
-                raise ManifestError(
-                    f"{item.image}: density map is {dm.shape[0]}x{dm.shape[1]} but the "
-                    f"image is {image.shape[1]}x{image.shape[2]}; run prepare again")
-            density = dm.astype(np.float64)
-        samples.append(Sample(image=image, points=points, density=density))
+        dm = io_formats.load_density(io_formats.density_path(base_dir, item))
+        if dm.shape != image.shape[1:]:
+            raise ManifestError(
+                f"{item.image}: density map is {dm.shape[0]}x{dm.shape[1]} but the "
+                f"image is {image.shape[1]}x{image.shape[2]}; run prepare again")
+        samples.append(Sample(image=image, points=points, density=dm.astype(np.float64)))
     return samples
 
 
@@ -150,8 +151,7 @@ def _check_finite_report(report, phase, step):
         )
 
 
-def _run_phase(params, samples, bins, config, arch, phase, epochs, log,
-               gsa_enabled=True, include_gsa=True, include_lsa=True):
+def _run_phase(params, samples, bins, config, arch, phase, epochs, log, gsa_enabled=True):
     """Train params in place for epochs. Phase 1 holds local attention at
     one; phase 2 first re-initializes LSA from [seed, 1], then trains it."""
     lsa_enabled = phase == 2
@@ -171,10 +171,8 @@ def _run_phase(params, samples, bins, config, arch, phase, epochs, log,
             x, gt_den, g_gt, l_gt = _make_batch(samples, batch, aug_seeds, crop, bins)
             out = model_forward(x, params, arch,
                                 lsa_enabled=lsa_enabled, gsa_enabled=gsa_enabled)
-            report, grads_out = total_loss(
-                out, gt_den, g_gt, l_gt, config.lambda_g, config.lambda_l,
-                include_gsa=include_gsa, include_lsa=include_lsa,
-            )
+            report, grads_out = total_loss(out, gt_den, g_gt, l_gt,
+                                           config.lambda_g, config.lambda_l)
             step += 1
             _check_finite_report(report, phase, step)
             grads = model_backward(grads_out, out, params, arch)
@@ -209,24 +207,25 @@ def require_splits(manifest, splits):
             raise ManifestError(f"split {split!r} is empty")
 
 
-def _load_training_set(manifest, base_dir):
+def load_training_set(manifest, base_dir):
+    """The train split's samples and the manifest's bins: `train`'s data."""
     require_splits(manifest, ["train"])
     return load_split(manifest, base_dir, "train"), manifest.bins
 
 
-def train(manifest, config, base_dir, arch=None, *, gsa_enabled=True, lsa_enabled=True,
-          include_gsa=True, include_lsa=True, log=None, on_phase_end=None):
+def train(samples, bins, config, arch=None, *, gsa_enabled=True, lsa_enabled=True,
+          log=None, on_phase_end=None):
     """The training schedule of `saan train` and of every ablation variant.
 
     Parameters start from init_params([seed, 0]). With LSA, phase 1 runs
     phase1_epochs and phase 2 (LSA re-initialized) phase2_epochs; without
     it, one phase 1 runs both budgets. A head switched off by gsa_enabled
-    or lsa_enabled drops its loss term; include_gsa/include_lsa drop a
-    term while its head still runs. on_phase_end(phase, params) runs after
-    each phase with the live params, which phase 2 goes on to update.
+    or lsa_enabled drops its loss term; a zero lambda_g or lambda_l keeps
+    the head but drops its term from the objective. on_phase_end(phase,
+    params) runs after each phase with the live params, which phase 2
+    goes on to update.
     """
     arch = arch or Arch.default()
-    samples, bins = _load_training_set(manifest, base_dir)
     params = init_params(arch, np.random.default_rng([config.seed, 0]))
     if lsa_enabled:
         phases = [(1, config.phase1_epochs), (2, config.phase2_epochs)]
@@ -234,7 +233,7 @@ def train(manifest, config, base_dir, arch=None, *, gsa_enabled=True, lsa_enable
         phases = [(1, config.phase1_epochs + config.phase2_epochs)]
     for phase, epochs in phases:
         params = _run_phase(params, samples, bins, config, arch, phase, epochs, log,
-                            gsa_enabled, include_gsa, include_lsa)
+                            gsa_enabled)
         if on_phase_end is not None:
             on_phase_end(phase, params)
     return params
@@ -242,13 +241,13 @@ def train(manifest, config, base_dir, arch=None, *, gsa_enabled=True, lsa_enable
 
 def train_phase1(manifest, config, base_dir, arch=None, log=None):
     """Phase 1 of `train` alone: LSA parameters keep their initial values."""
-    return train(manifest, replace(config, phase2_epochs=0), base_dir, arch,
-                 lsa_enabled=False, log=log)
+    return train(*load_training_set(manifest, base_dir), replace(config, phase2_epochs=0),
+                 arch, lsa_enabled=False, log=log)
 
 
 def train_phase2(params, manifest, config, base_dir, arch=None, log=None):
     """Phase 2 of `train` alone: continues from phase-1 params, LSA re-initialized."""
-    samples, bins = _load_training_set(manifest, base_dir)
+    samples, bins = load_training_set(manifest, base_dir)
     return _run_phase(params, samples, bins, config, arch or Arch.default(),
                       2, config.phase2_epochs, log)
 

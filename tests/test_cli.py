@@ -271,7 +271,8 @@ class TestTrain:
         assert f"{side}x{side}" in err and "32x32" in err
         assert not os.path.exists(out_dir / "final.ck")
 
-    def test_reads_the_training_split_once(self, trained, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_reads_the_training_split_once(self, trained, tmp_path, monkeypatch, command):
         _, _, config_path, _ = trained
         monkeypatch.setattr(Arch, "default", Arch.tiny)
         calls = []
@@ -285,7 +286,7 @@ class TestTrain:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({**json.load(open(config_path)),
                                       "out_dir": str(tmp_path / "out")}))
-        assert main(["train", "--config", str(config)]) == 0
+        assert main([command, "--config", str(config)]) == 0
         assert calls == ["train"]
 
     def test_rerun_reproduces_final_checkpoint(self, trained):
@@ -499,6 +500,14 @@ class TestExitCodes:
         path.write_text('{"seed": -1}')
         assert main([command, "--config", str(path)]) == 1
         assert "seed must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, literal", [
+        ("learning_rate", "NaN"), ("epsilon", "Infinity"), ("lambda_g", "-Infinity")])
+    def test_non_finite_config_number_exits_1(self, tmp_path, capsys, key, literal):
+        path = tmp_path / "c.json"
+        path.write_text(f'{{"{key}": {literal}}}')
+        assert main(["train", "--config", str(path)]) == 1
+        assert f"{key} must be a finite number" in capsys.readouterr().err
 
     def test_non_utf8_config_exits_1(self, tmp_path, capsys):
         path = tmp_path / "c.json"

@@ -26,7 +26,7 @@ def test_requires_float64():
         grad_check(f, [np.ones(3, dtype=np.float32)], h=1e-3)
 
 
-def test_relu_kink_excluded():
+def test_relu_kink_is_reported():
     x = np.array([-0.5, 0.0, 0.7])
     r = np.array([1.0, 1.0, 1.0])
 
@@ -34,29 +34,18 @@ def test_relu_kink_excluded():
         return float((ops.relu(x_) * r).sum()), [ops.relu_backward(r, x_)]
 
     # at the exact kink the two-sided difference disagrees with the
-    # analytic convention, so the coordinate must be maskable
+    # analytic convention, and the checker must say so
     assert grad_check(f, [x], h=1e-3) > 1e-4
-    assert grad_check(f, [x], h=1e-3, exclude=[x == 0.0]) < 1e-6
-
-
-def test_coordinate_sampling_is_seeded():
-    rng = np.random.default_rng(3)
-    coef = rng.uniform(-1, 1, 100)
-    x = rng.uniform(-1, 1, 100)
-
-    def f(x_):
-        return float((x_ * coef).sum()), [coef]
-
-    e1 = grad_check(f, [x], h=1e-3, max_coords_per_input=10, rng=np.random.default_rng(5))
-    e2 = grad_check(f, [x], h=1e-3, max_coords_per_input=10, rng=np.random.default_rng(5))
-    assert e1 == e2
 
 
 def test_suite_passes_and_covers_all_ops():
     results = run_suite(seed=0)
-    assert len(results) >= 12
     names = {r.name for r in results}
-    assert "conv2d" in names and "end_to_end" in names
+    # every op with a backward, named by its forward, plus the losses
+    required = {name[: -len("_backward")] for name in dir(ops)
+                if name.endswith("_backward") and not name.startswith("_")}
+    required |= {"density_loss", "scale_cross_entropy", "local_cross_entropy", "end_to_end"}
+    assert required <= names, sorted(required - names)
     for r in results:
         assert r.max_rel_err < r.tolerance, f"{r.name}: {r.max_rel_err}"
 

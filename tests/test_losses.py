@@ -117,30 +117,30 @@ class TestLossFinal:
             global_logits=np.zeros((2, 3)), local_maps=None,
             local_logits=np.zeros((1, 3, 2, 2)), features=(),
         )
-        report, _ = losses.total_loss(out, np.zeros((1, 1, 1, 2)), np.array([1, 3]),
-                                      np.full((1, 2, 2), 2), lambda_g, lambda_l)
-        return report
+        return losses.total_loss(out, np.zeros((1, 1, 1, 2)), np.array([1, 3]),
+                                 np.full((1, 2, 2), 2), lambda_g, lambda_l)
 
     def test_weighted_sum(self):
-        report = self._report(0.1, 0.3)
+        report, _ = self._report(0.1, 0.3)
         assert report.l_dm == 1.0
         assert report.l_final == pytest.approx(1.0 + 0.4 * np.log(3.0))
 
     def test_zero_weights_reduce_to_dm(self):
-        report = self._report(0.0, 0.0)
+        report, grads = self._report(0.0, 0.0)
         assert report.l_gsa > 0 and report.l_lsa > 0
         assert report.l_final == report.l_dm
+        assert not grads["global_logits"].any() and not grads["local_logits"].any()
 
 
 class TestTotalLoss:
-    def _forward_like(self, rng):
+    def _forward_like(self, rng, **heads):
         from saan import network, params
 
         arch = network.Arch.tiny()
         p = params.init_params(arch, rng=np.random.default_rng(3))
         p = {k: v.astype(np.float64) for k, v in p.items()}
         x = rng.uniform(0, 1, (2, 1, 8, 8))
-        return network.model_forward(x, p, arch), arch
+        return network.model_forward(x, p, arch, **heads), arch
 
     def test_decomposition_identity(self, rng):
         out, _ = self._forward_like(rng)
@@ -153,16 +153,13 @@ class TestTotalLoss:
         assert report.l_dm >= 0 and report.l_gsa >= 0 and report.l_lsa >= 0
 
     def test_disabled_terms_report_zero(self, rng):
-        out, _ = self._forward_like(rng)
+        out, _ = self._forward_like(rng, gsa_enabled=False, lsa_enabled=False)
         gt = rng.uniform(0, 0.05, (2, 1, 8, 8))
         report, grads = losses.total_loss(
-            out, gt, np.array([1, 2]), rng.integers(1, 4, (2, 2, 2)),
-            0.1, 0.1, include_gsa=False, include_lsa=False,
-        )
+            out, gt, np.array([1, 2]), rng.integers(1, 4, (2, 2, 2)), 0.1, 0.1)
         assert report.l_gsa == 0.0 and report.l_lsa == 0.0
         assert report.l_final == report.l_dm
-        assert "global_logits" not in grads and "local_logits" not in grads
-        assert "density" in grads
+        assert set(grads) == {"density"}
 
 
 class TestMetrics:

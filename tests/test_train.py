@@ -239,15 +239,17 @@ class TestSchedule:
         arch = Arch.tiny()
         p1 = train.train_phase1(manifest, cfg, root, arch=arch)
         expected = train.train_phase2(p1, manifest, cfg, root, arch=arch)
-        assert params_equal(train.train(manifest, cfg, root, arch), expected)
+        got = train.train(*train.load_training_set(manifest, root), cfg, arch)
+        assert params_equal(got, expected)
 
     def test_on_phase_end_sees_phase1_params(self, dataset):
         manifest, root = dataset
         cfg = tiny_config(root, phase1_epochs=2, phase2_epochs=1)
         arch = Arch.tiny()
         seen = []
-        train.train(manifest, cfg, root, arch, on_phase_end=lambda phase, params: seen.append(
-            (phase, {k: v.copy() for k, v in params.items()})))
+        train.train(*train.load_training_set(manifest, root), cfg, arch,
+                    on_phase_end=lambda phase, params: seen.append(
+                        (phase, {k: v.copy() for k, v in params.items()})))
         assert [phase for phase, _ in seen] == [1, 2]
         assert params_equal(seen[0][1], train.train_phase1(manifest, cfg, root, arch=arch))
 
@@ -256,7 +258,8 @@ class TestSchedule:
         cfg = tiny_config(root, phase1_epochs=1, phase2_epochs=2)
         arch = Arch.tiny()
         logs, phases = [], []
-        got = train.train(manifest, cfg, root, arch, lsa_enabled=False, log=logs.append,
+        got = train.train(*train.load_training_set(manifest, root), cfg, arch,
+                          lsa_enabled=False, log=logs.append,
                           on_phase_end=lambda phase, params: phases.append(phase))
         assert phases == [1]
         assert {r["phase"] for r in logs} == {1}
