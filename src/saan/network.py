@@ -211,41 +211,34 @@ def model_forward(image, params, arch=None, lsa_enabled=True, gsa_enabled=True,
             "fn_cache": fn_cache,
             "g": g,
             "l": l,
-            "padded_hw": (hp, wp),
-            "orig_hw": (h, w),
-            "lsa_enabled": lsa_enabled,
-            "gsa_enabled": gsa_enabled,
         } if keep_caches else {},
     )
 
 
-def model_backward(grads_out, out, params, arch=None):
+def model_backward(grads_out, out, params):
     """Parameter gradients of the losses applied to a forward pass.
 
     grads_out maps output names to upstream gradients: "density" is
     required; "global_logits"/"local_logits" add the direct classifier
     terms on top of the attention-path gradients. Sub-networks that were
-    disabled in the forward pass get no entries in the result.
+    disabled in the forward pass (their logits are None) get no entries
+    in the result. Shapes and feature depths come from the outputs.
     """
-    arch = arch or Arch.default()
     c = out.cache
     if not c:
         raise SaanError("model_backward needs a forward pass run with keep_caches=True")
-    h, w = c["orig_hw"]
-    hp, wp = c["padded_hw"]
     g, l = c["g"], c["l"]
 
-    gd = grads_out["density"]
-    if (hp, wp) != (h, w):
-        full = np.zeros((gd.shape[0], 1, hp, wp), dtype=gd.dtype)
-        full[:, :, :h, :w] = gd
-        gd = full
+    # the density is cropped from the padded input, 4x the features' size
+    h, w = out.density.shape[2:]
+    hp, wp = (4 * d for d in out.features[0].shape[2:])
+    gd = np.pad(grads_out["density"], ((0, 0), (0, 0), (0, hp - h), (0, wp - w)))
 
     grads = {}
     gcat, fn_grads = seq_backward(gd, c["fn_cache"], params)
     grads.update(fn_grads)
 
-    parts = ops.split_channels(gcat, list(arch.feature_depths))
+    parts = ops.split_channels(gcat, [f.shape[1] for f in out.features])
     gg_cols = []
     gl_chans = []
     for i in range(3):
@@ -257,7 +250,7 @@ def model_backward(grads_out, out, params, arch=None):
         gg_cols.append(ggi)
         gl_chans.append(gli)
 
-    if c["gsa_enabled"]:
+    if out.global_logits is not None:
         g_grad = np.stack(gg_cols, axis=1)
         logits_grad = ops.softmax_backward(g_grad, out.global_scores)
         if grads_out.get("global_logits") is not None:
@@ -265,7 +258,7 @@ def model_backward(grads_out, out, params, arch=None):
         _, gsa_grads = seq_backward(logits_grad, c["gsa_cache"], params, input_grad=False)
         grads.update(gsa_grads)
 
-    if c["lsa_enabled"]:
+    if out.local_logits is not None:
         l_grad = ops.concat_channels(gl_chans)
         logits_grad = ops.sigmoid_backward(l_grad, out.local_maps)
         if grads_out.get("local_logits") is not None:

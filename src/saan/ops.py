@@ -9,16 +9,19 @@ preserved; the transposed convolution is fixed at kernel 4 / stride 2 /
 padding 1 (exact x2 upsampling).
 
 Convolution runs on one channel-major patch layout, [C*k*k, N*H*W]
-(im2col): the forward is W @ cols, the weight gradient (cols @ gy^T)^T,
-and the input gradient W^T @ gy scattered back with one shifted add per
-kernel tap (col2im). conv2d returns an [N,C,H,W] view of a [C,N,H,W]
-buffer, so the gy that comes back through it is already channel-major.
-A 1x1 convolution is one GEMM on its input in channel-major order (a
-view, not a copy, when the input came from another conv) and builds no
-patch matrix. The weighted ops take relu=True to apply max(y, 0) in
-their epilogue, right after the bias add while each output block is
-still in cache, so an activation is written once; the result equals
-relu() of the plain op bit for bit.
+(im2col), and _conv2d is the one routine that builds a conv's patch
+matrix and multiplies it by the kernel. The forward is W @ cols. The
+input gradient of a stride-1 "same" conv with odd k is itself a "same"
+conv of gy, with W's in and out axes swapped and both kernel axes
+flipped, so conv2d_backward runs _conv2d on gy for it; the weight
+gradient is (cols @ gy^T)^T. conv2d returns an [N,C,H,W] view of a
+[C,N,H,W] buffer, so the gy that comes back through it is already
+channel-major. A 1x1 convolution's patch matrix is its input in
+channel-major order (a view, not a copy, when the input came from
+another conv), so it is one GEMM. The weighted ops take relu=True to
+apply max(y, 0) in their epilogue, right after the bias add while each
+output block is still in cache, so an activation is written once; the
+result equals relu() of the plain op bit for bit.
 
 A patch matrix is one strided copy. The input is copied once into a
 zero-padded channel-major buffer, each channel flattened, so tap
@@ -27,8 +30,8 @@ every patch matrix is an as_strided view of that buffer. The forward's
 view spans all Wp = W + 2p padded columns of each row: tap (dy, dx) is
 the plain offset dy*Wp + dx, each tap row of a block is one long run
 (k-1 zeros of slack end the buffer), and the GEMM output is cropped back
-to W columns on its way into the output. The backward's view is the
-exact [C*k*k, N*H*W] matrix.
+to W columns on its way into the output. The weight gradient's view is
+the exact [C*k*k, N*H*W] matrix.
 
 The transposed conv's forward is a sub-pixel convolution: each of the
 four output phases y[:, :, a::2, b::2] is a 3x3 "same" conv of x, so
@@ -37,13 +40,14 @@ all, its blocks written straight into the strided phase views, so each
 output pixel is written once. Its backward stays the gather of the 16
 stride-2 taps of the 1-padded gy into one [Cout*16, N*H*W] matrix: a
 sub-pixel backward does 2.25x the flops (each phase uses 4 of its 9
-taps) plus a 9-tap col2im, and measured slower at training shapes.
+taps) and measured slower at training shapes.
 
 Convolutions work in blocks, each whole images or a band of one image's
 rows. conv2d and its backward copy each block's patch matrix into one
 buffer reused for every block, so a conv's patch memory is one padded
 copy of its input plus a block; the backward sums the weight gradient
-over the blocks. _PATCH_BYTES (about an L2 cache) caps how many rows a
+over the blocks of x, then runs the input gradient's conv over the
+blocks of gy. _PATCH_BYTES (about an L2 cache) caps how many rows a
 block takes, but a block holds at least one row, so when one row's
 operand is larger than the budget (wide images, float64) the block is
 too.
@@ -124,19 +128,26 @@ def _row_blocks(n, h, row_bytes):
                 yield i, i + 1, r0, min(h, r0 + rows)
 
 
-def _patch_blocks(xp, k, n, h, wp, width):
-    """Patch matrices of an [N,.,H,.] map, block by block: yields
-    (n0, n1, r0, r1, cols) for the _row_blocks of patch rows `width`
-    columns wide, cols the block's [C*k*k, (n1-n0)*(r1-r0)*width] patch
-    matrix copied from the _pad_cm buffer xp (padded width wp) into one
-    buffer that the next block overwrites."""
-    ckk = xp.shape[0] * k * k
-    blocks = list(_row_blocks(n, h, ckk * width * xp.itemsize))
+def _patch_blocks(x, k, width):
+    """Patch matrices of the "same" conv of x [N,C,H,W] with an odd
+    kernel k, block by block: yields (n0, n1, r0, r1, cols) for the
+    _row_blocks of patch rows `width` (W or W+k-1) columns wide, cols the
+    block's [C*k*k, (n1-n0)*(r1-r0)*width] patch matrix copied from x's
+    _pad_cm buffer into one buffer that the next block overwrites. For
+    k == 1 the one block is x itself in channel-major order (a view, not
+    a copy, when x came from another conv)."""
+    n, c, h, wd = x.shape
+    if k == 1:
+        yield 0, n, 0, h, x.transpose(1, 0, 2, 3).reshape(c, -1)
+        return
+    wp = wd + k - 1
+    xp = _pad_cm(x, (k - 1) // 2, slack=k - 1)
+    ckk = c * k * k
+    blocks = list(_row_blocks(n, h, ckk * width * x.itemsize))
     n0, n1, r0, r1 = blocks[0]
-    buf = np.empty(ckk * (n1 - n0) * (r1 - r0) * width, dtype=xp.dtype)
-    hp = h + k - 1
+    buf = np.empty(ckk * (n1 - n0) * (r1 - r0) * width, dtype=x.dtype)
     for n0, n1, r0, r1 in blocks:
-        view = _patches(xp, k, hp, wp, n0, n1, r0, r1, width)
+        view = _patches(xp, k, h + k - 1, wp, n0, n1, r0, r1, width)
         cols = buf[: view.size].reshape(view.shape)
         np.copyto(cols, view)
         yield n0, n1, r0, r1, cols.reshape(ckk, -1)
@@ -151,33 +162,25 @@ def conv2d(x, w, b, relu=False):
     k = w.shape[2]
     if k % 2 != 1:
         raise ShapeError(f"kernel size must be odd for same padding, got {k}")
-    n, cin, h, wd = x.shape
-    cout = w.shape[0]
-    y = np.empty((cout, n, h, wd), dtype=np.result_type(x, w, b))
-    if k > 1:
-        _conv2d(x, w, b, relu, y)
-        return y.transpose(1, 0, 2, 3)
-    np.matmul(w.reshape(cout, cin), x.transpose(1, 0, 2, 3).reshape(cin, -1),
-              out=y.reshape(cout, -1))
-    y += b[:, None, None, None]
-    if relu:
-        np.maximum(y, 0, out=y)
+    n, _, h, wd = x.shape
+    y = np.empty((w.shape[0], n, h, wd), dtype=np.result_type(x, w, b))
+    _conv2d(x, w, b, relu, y)
     return y.transpose(1, 0, 2, 3)
 
 
 def _conv2d(x, w, b, relu, y):
-    """conv2d of x for an odd k > 1, written block by block into y, an
-    array of shape lead + (N, H, W) whose lead axes flatten to Cout in
-    order (they may be strided). A private name, so that the deconv's
-    call does not go through a wrapper installed on conv2d."""
+    """conv2d of x for an odd k, written block by block into y, an array
+    of shape lead + (N, H, W) whose lead axes flatten to Cout in order
+    (they may be strided). A private name, so that the calls from the
+    deconv and from conv2d_backward do not go through a wrapper
+    installed on conv2d."""
     k = w.shape[2]
-    p = (k - 1) // 2
-    n, _, h, wd = x.shape
+    wd = x.shape[3]
     lead = y.shape[:-3]
     w2 = w.reshape(w.shape[0], -1)
     bias = b.reshape(lead + (1, 1, 1))
-    wp = wd + 2 * p
-    for n0, n1, r0, r1, cols in _patch_blocks(_pad_cm(x, p, slack=k - 1), k, n, h, wp, wp):
+    wp = wd + k - 1
+    for n0, n1, r0, r1, cols in _patch_blocks(x, k, wp):
         out = (w2 @ cols).reshape(lead + (n1 - n0, r1 - r0, wp))[..., :wd]
         yb = y[..., n0:n1, r0:r1, :]
         np.add(out, bias, out=yb)
@@ -187,39 +190,26 @@ def _conv2d(x, w, b, relu, y):
 
 
 def conv2d_backward(gy, x, w, input_grad=True):
-    """Gradients of conv2d w.r.t. (input, weights, bias), in the blocks of
-    the forward's patch matrix (exact width here): each block adds its
-    share of the weight gradient and scatters its input gradient."""
+    """Gradients of conv2d w.r.t. (input, weights, bias). The weight
+    gradient is summed over the blocks of x's patch matrix (exact width
+    here). The input gradient is the "same" conv of gy with W's in and
+    out axes swapped and both kernel axes flipped, run by _conv2d."""
     k = w.shape[2]
-    p = (k - 1) // 2
     n, cin, h, wd = x.shape
     cout = w.shape[0]
     gy_cm = np.ascontiguousarray(gy.transpose(1, 0, 2, 3)).reshape(cout, -1)
     gb = gy_cm.sum(axis=1)
-    wt = w.transpose(2, 3, 1, 0).reshape(k * k * cin, cout)
-    if k == 1:
-        gw = (x.transpose(1, 0, 2, 3).reshape(cin, -1) @ gy_cm.T).T.reshape(cout, cin, 1, 1)
-        if not input_grad:
-            return None, gw, gb
-        return (wt @ gy_cm).reshape(cin, n, h, wd).transpose(1, 0, 2, 3), gw, gb
-    wp = wd + 2 * p
-    if input_grad:
-        gxp = np.zeros((cin, n, h + 2 * p, wp), dtype=np.result_type(w, gy))
     gw = None
-    for n0, n1, r0, r1, cols in _patch_blocks(_pad_cm(x, p), k, n, h, wp, wd):
-        g = gy_cm[:, (n0 * h + r0) * wd : ((n1 - 1) * h + r1) * wd]
-        part = cols @ g.T
+    for n0, n1, r0, r1, cols in _patch_blocks(x, k, wd):
+        part = cols @ gy_cm[:, (n0 * h + r0) * wd : ((n1 - 1) * h + r1) * wd].T
         gw = part if gw is None else gw + part
-        if input_grad:
-            gcols = (wt @ g).reshape(k, k, cin, n1 - n0, r1 - r0, wd)
-            for dy in range(k):
-                for dx in range(k):
-                    gxp[:, n0:n1, r0 + dy : r1 + dy, dx : dx + wd] += gcols[dy, dx]
-            del gcols  # before the next block's GEMM allocates its own
     gw = gw.T.reshape(cout, cin, k, k)
     if not input_grad:
         return None, gw, gb
-    return gxp[:, :, p : p + h, p : p + wd].transpose(1, 0, 2, 3), gw, gb
+    gx = np.empty((cin, n, h, wd), dtype=np.result_type(w, gy))
+    _conv2d(gy_cm.reshape(cout, n, h, wd).transpose(1, 0, 2, 3),
+            w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1], np.zeros(cin, gx.dtype), False, gx)
+    return gx.transpose(1, 0, 2, 3), gw, gb
 
 
 def conv2d_transpose(x, w, b, relu=False):

@@ -37,15 +37,15 @@ class TrainConfig:
     crop_size: int = 128
     lambda_g: float = 0.1
     lambda_l: float = 0.1
-    sigma: float = 4.0
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type is float and not np.isfinite(value):
                 raise ConfigError(f"{f.name} must be a finite number, got {value}")
-        if self.crop_size % 4 or self.crop_size <= 0:
-            raise ConfigError(f"crop_size must be a positive multiple of 4, got {self.crop_size}")
+        if self.crop_size % 4 or self.crop_size < 8:
+            raise ConfigError(
+                f"crop_size must be a multiple of 4 and at least 8, got {self.crop_size}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.phase1_epochs < 0 or self.phase2_epochs < 0:
@@ -59,8 +59,8 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= 0")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ConfigError("adam betas must lie in [0, 1)")
-        if self.epsilon <= 0 or self.sigma <= 0:
-            raise ConfigError("epsilon and sigma must be positive")
+        if self.epsilon <= 0:
+            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
 
 
 @dataclass
@@ -118,10 +118,7 @@ def load_split(manifest, base_dir, split):
 def _effective_crop(samples, crop_size):
     """Largest multiple-of-4 crop every sample can supply, capped by config."""
     limit = min(min(s.image.shape[1], s.image.shape[2]) for s in samples)
-    eff = min(crop_size, 4 * (limit // 4))
-    if eff <= 0:
-        raise TrainingError(f"images too small to crop: limit {limit}")
-    return eff
+    return min(crop_size, 4 * (limit // 4))
 
 
 def _make_batch(samples, indices, aug_seeds, crop, bins):
@@ -175,7 +172,7 @@ def _run_phase(params, samples, bins, config, arch, phase, epochs, log, gsa_enab
                                            config.lambda_g, config.lambda_l)
             step += 1
             _check_finite_report(report, phase, step)
-            grads = model_backward(grads_out, out, params, arch)
+            grads = model_backward(grads_out, out, params)
             adam_step(params, grads, opt, config.learning_rate,
                       config.beta1, config.beta2, config.epsilon)
             if log is not None:
@@ -208,9 +205,16 @@ def require_splits(manifest, splits):
 
 
 def load_training_set(manifest, base_dir):
-    """The train split's samples and the manifest's bins: `train`'s data."""
+    """The train split's samples and the manifest's bins: `train`'s data.
+    Refuses a train image under 8 pixels on a side, the network's least
+    input, so that every training crop is at least 8x8."""
     require_splits(manifest, ["train"])
-    return load_split(manifest, base_dir, "train"), manifest.bins
+    samples = load_split(manifest, base_dir, "train")
+    for item, s in zip(manifest.split_items("train"), samples):
+        if min(s.image.shape[1:]) < 8:
+            raise ManifestError(f"{item.image}: train image is {s.image.shape[1]}x"
+                                f"{s.image.shape[2]}; training needs at least 8x8")
+    return samples, manifest.bins
 
 
 def train(samples, bins, config, arch=None, *, gsa_enabled=True, lsa_enabled=True,

@@ -271,6 +271,34 @@ class TestTrain:
         assert f"{side}x{side}" in err and "32x32" in err
         assert not os.path.exists(out_dir / "final.ck")
 
+    def test_crop_under_8_exits_1_before_training(self, prepared, tmp_path, capsys):
+        _, manifest_path = prepared
+        config = tmp_path / "config.json"
+        out_dir = tmp_path / "out"
+        config.write_text(json.dumps({"manifest": manifest_path, "out_dir": str(out_dir),
+                                      "crop_size": 4}))
+        assert main(["train", "--config", str(config)]) == 1
+        assert "crop_size must be a multiple of 4 and at least 8" in capsys.readouterr().err
+        assert not os.path.exists(out_dir)
+
+    def test_train_image_under_8_exits_1_before_training(self, tmp_path, capsys):
+        # one train image (and its density map) rewritten at 6x40
+        assert run_synth(tmp_path, images=4) == 0
+        manifest_path = str(tmp_path / "manifest.json")
+        assert main(["prepare", "--manifest", manifest_path]) == 0
+        item = io_formats.load_manifest(manifest_path).split_items("train")[0]
+        io_formats.write_pgm(str(tmp_path / item.image), np.zeros((6, 40)))
+        io_formats.save_density(io_formats.density_path(str(tmp_path), item),
+                                np.zeros((6, 40), dtype=np.float32))
+        config = tmp_path / "config.json"
+        out_dir = tmp_path / "out"
+        config.write_text(json.dumps({"manifest": manifest_path, "out_dir": str(out_dir),
+                                      "crop_size": 16}))
+        assert main(["train", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert item.image in err and "6x40" in err and "at least 8x8" in err
+        assert not os.path.exists(out_dir)
+
     @pytest.mark.parametrize("command", ["train", "ablate"])
     def test_reads_the_training_split_once(self, trained, tmp_path, monkeypatch, command):
         _, _, config_path, _ = trained
@@ -493,6 +521,13 @@ class TestExitCodes:
         path.write_text('{"learning_rte": 0.1}')
         assert main(["train", "--config", str(path)]) == 1
         assert "unknown config keys" in capsys.readouterr().err
+
+    def test_removed_sigma_key_exits_1(self, tmp_path, capsys):
+        # the ground-truth width is `saan prepare --sigma`; no config key sets it
+        path = tmp_path / "c.json"
+        path.write_text('{"sigma": 4.0}')
+        assert main(["train", "--config", str(path)]) == 1
+        assert "unknown config keys: sigma" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["train", "ablate"])
     def test_negative_config_seed_exits_1(self, tmp_path, capsys, command):

@@ -218,7 +218,7 @@ class TestModelBackward:
         grads_out = {"density": np.ones_like(out.density),
                      "global_logits": np.ones_like(out.global_logits),
                      "local_logits": np.ones_like(out.local_logits)}
-        grads = network.model_backward(grads_out, out, p, arch)
+        grads = network.model_backward(grads_out, out, p)
 
         image_input = {"mfe.branch1.conv0", "mfe.branch2.conv0", "mfe.branch3.conv0",
                        "gsa.conv0", "lsa.conv0"}
@@ -230,11 +230,11 @@ class TestModelBackward:
         assert set(grads) == set(p)
 
     @staticmethod
-    def _walk(out, arch, p):
+    def _walk(out, p):
         grads_out = {"density": np.ones_like(out.density),
                      "global_logits": np.ones_like(out.global_logits),
                      "local_logits": np.ones_like(out.local_logits)}
-        return network.model_backward(grads_out, out, p, arch)
+        return network.model_backward(grads_out, out, p)
 
     def test_caches_hold_post_activation_outputs(self, rng, tiny):
         arch, p = tiny
@@ -262,7 +262,7 @@ class TestModelBackward:
         arch, p = tiny
         x = rng.uniform(0, 1, (2, 1, 16, 16))
         fused = network.model_forward(x, p, arch)
-        fused_grads = self._walk(fused, arch, p)
+        fused_grads = self._walk(fused, p)
 
         pre_of = {}
 
@@ -280,7 +280,7 @@ class TestModelBackward:
             monkeypatch.setattr(ops, name, unfused(getattr(ops, name)))
         monkeypatch.setattr(ops, "relu_backward", lambda gy, y: gy * (pre_of[id(y)] > 0))
         oracle = network.model_forward(x, p, arch)
-        oracle_grads = self._walk(oracle, arch, p)
+        oracle_grads = self._walk(oracle, p)
 
         assert len(pre_of) == sum(1 for _, spec, _ in arch.subnets()
                                   for e in spec if e[-1] == "relu")
@@ -289,12 +289,32 @@ class TestModelBackward:
         for name, g in fused_grads.items():
             assert g.tobytes() == oracle_grads[name].tobytes(), name
 
+    @pytest.mark.parametrize("gsa, lsa", [(True, False), (False, True)])
+    def test_reads_shapes_and_heads_from_the_outputs(self, rng, tiny, gsa, lsa):
+        # an 18x22 image pads to 20x24: its backward must equal that of the
+        # padded image with the density gradient zero-extended, and a head
+        # switched off in the forward gets no gradient entries
+        arch, p = tiny
+        x = rng.uniform(0, 1, (2, 1, 18, 22))
+        gd = rng.uniform(-1, 1, (2, 1, 18, 22))
+        out = network.model_forward(x, p, arch, gsa_enabled=gsa, lsa_enabled=lsa)
+        padded = network.model_forward(np.pad(x, ((0, 0), (0, 0), (0, 2), (0, 2)), "reflect"),
+                                       p, arch, gsa_enabled=gsa, lsa_enabled=lsa)
+        grads = network.model_backward({"density": gd}, out, p)
+        want = network.model_backward(
+            {"density": np.pad(gd, ((0, 0), (0, 0), (0, 2), (0, 2)))}, padded, p)
+        off = {"gsa"} if not gsa else {"lsa"}
+        assert set(grads) == {k for k in p if k.split(".")[0] not in off}
+        assert sorted(grads) == sorted(want)
+        for name, g in grads.items():
+            assert g.tobytes() == want[name].tobytes(), name
+
     def test_cache_free_outputs_refused(self, rng, tiny):
         arch, p = tiny
         out = network.model_forward(rng.uniform(0, 1, (1, 1, 16, 16)), p, arch,
                                     keep_caches=False)
         with pytest.raises(SaanError, match="keep_caches"):
-            network.model_backward({"density": np.ones_like(out.density)}, out, p, arch)
+            network.model_backward({"density": np.ones_like(out.density)}, out, p)
 
 
 class TestCount:

@@ -98,14 +98,43 @@ class TestConv2d:
     @pytest.mark.parametrize("k", [3, 7])
     @pytest.mark.parametrize("rows, blocks", [(1, 14), (3, 6), (7, 2), (14, 1)])
     def test_blocked_backward_matches_naive_oracle(self, rng, monkeypatch, k, rows, blocks):
-        # the backward's patch rows are the exact width; each block adds its
-        # share of gw and scatters gx across the seams between bands
+        # the weight gradient's patch rows are the exact width; each block
+        # of x's patch matrix adds its share of gw
         x = dyadic(rng, (2, 3, 7, 5))
         w = dyadic(rng, (2, 3, k, k))
         gy = dyadic(rng, (2, 2, 7, 5))
         row_bytes = 3 * k * k * 5 * x.itemsize
         monkeypatch.setattr(ops, "_PATCH_BYTES", rows * row_bytes)
         assert len(list(ops._row_blocks(2, 7, row_bytes))) == blocks
+        for got, want in zip(ops.conv2d_backward(gy, x, w), naive_conv2d_backward(gy, x, w)):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    @pytest.mark.parametrize("rows, blocks", [(7, 2), (4, 4), (2, 8)])
+    def test_blocked_input_gradient_matches_naive_oracle(self, rng, monkeypatch, k, rows, blocks):
+        # gx is the forward conv of gy, whose patch rows span the padded
+        # width of gy's cout channels: one, two and several blocks per
+        # image, each band reading gy rows across its seams
+        x = dyadic(rng, (2, 3, 7, 5))
+        w = dyadic(rng, (2, 3, k, k))
+        gy = dyadic(rng, (2, 2, 7, 5))
+        row_bytes = 2 * k * k * (5 + k - 1) * gy.itemsize
+        monkeypatch.setattr(ops, "_PATCH_BYTES", rows * row_bytes)
+        assert len(list(ops._row_blocks(2, 7, row_bytes))) == blocks
+        for got, want in zip(ops.conv2d_backward(gy, x, w), naive_conv2d_backward(gy, x, w)):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_backward_never_calls_the_public_conv(self, rng, monkeypatch, k):
+        # a wrapper installed on ops.conv2d (a tracer, say) must not see
+        # the input gradient's conv, which goes through the private _conv2d
+        def refuse(*args, **kwargs):
+            raise AssertionError("conv2d_backward called ops.conv2d")
+
+        x = dyadic(rng, (2, 3, 5, 7))
+        w = dyadic(rng, (2, 3, k, k))
+        gy = dyadic(rng, (2, 2, 5, 7))
+        monkeypatch.setattr(ops, "conv2d", refuse)
         for got, want in zip(ops.conv2d_backward(gy, x, w), naive_conv2d_backward(gy, x, w)):
             np.testing.assert_array_equal(got, want)
 

@@ -84,6 +84,12 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="crop_size"):
             TrainConfig(manifest="m", out_dir="o", crop_size=30)
 
+    @pytest.mark.parametrize("crop", [0, 4])
+    def test_crop_under_8_rejected(self, crop):
+        # the network's least input is 8x8
+        with pytest.raises(ConfigError, match="at least 8"):
+            TrainConfig(manifest="m", out_dir="o", crop_size=crop)
+
     def test_bad_lr_rejected(self):
         with pytest.raises(ConfigError, match="learning_rate"):
             TrainConfig(manifest="m", out_dir="o", learning_rate=0.0)
