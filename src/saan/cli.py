@@ -117,8 +117,8 @@ def cmd_prepare(args):
     manifest = io_formats.load_manifest(args.manifest)
     base = os.path.dirname(os.path.abspath(args.manifest))
     io_formats.validate_manifest_files(manifest, base)
-    if args.sigma <= 0:
-        raise ConfigError(f"--sigma must be positive, got {args.sigma}")
+    if not (np.isfinite(args.sigma) and args.sigma > 0):
+        raise ConfigError(f"--sigma must be positive and finite, got {args.sigma}")
     os.makedirs(os.path.join(base, "density"), exist_ok=True)
     train_maps = []
     for item in manifest.items:

@@ -3,11 +3,13 @@
   Images       binary PGM (P5), 8-bit grayscale, loaded as v/255.
   Annotations  UTF-8 text, one "x,y" pair per line, decimal floats, LF.
   Density map  magic "SAANDM1\\n", u32 LE height, u32 LE width, then
-               height*width 32-bit LE floats in row-major order.
+               height*width 32-bit LE floats in row-major order,
+               each finite and >= 0.
   Manifest     JSON {"items":[{"image","ann","split"}], "bins": null |
                {"global":[min,max], "local":[min,max]}}; paths are
                relative to the manifest's directory. Ground-truth maps
-               live at <manifest dir>/density/<image stem>.dm.
+               live at <manifest dir>/density/<image stem>.dm, so two
+               different images may not share a stem.
 
 All loaders fail with structured errors (byte offsets for binary
 formats, line numbers for text) instead of propagating junk. Density
@@ -170,9 +172,15 @@ def load_density(path):
         )
     if len(buf) - off > need:
         raise CodecError(f"{len(buf) - off - need} trailing bytes", offset=off + need)
-    return np.frombuffer(buf, dtype="<f4", count=height * width, offset=off).reshape(
+    density = np.frombuffer(buf, dtype="<f4", count=height * width, offset=off).reshape(
         height, width
     ).copy()
+    bad = np.flatnonzero(~((density >= 0) & (density < np.inf)))
+    if bad.size:
+        value = density.flat[bad[0]]
+        raise CodecError(f"{path}: density value {value} is not a finite count >= 0",
+                         offset=off + 4 * int(bad[0]))
+    return density
 
 
 # ----------------------------------------------------------- manifest
@@ -239,6 +247,7 @@ def load_manifest(path):
     if not isinstance(doc["items"], list):
         raise ManifestError(f"{path}: 'items' must be a list")
     items = []
+    by_density = {}
     for i, rec in enumerate(doc["items"]):
         if not isinstance(rec, dict) or set(rec) != {"image", "ann", "split"}:
             raise ManifestError(
@@ -253,7 +262,15 @@ def load_manifest(path):
             raise ManifestError(
                 f"{path}: item {i} has split {rec['split']!r}, expected one of {SPLITS}"
             )
-        items.append(ManifestItem(image=rec["image"], ann=rec["ann"], split=rec["split"]))
+        item = ManifestItem(image=rec["image"], ann=rec["ann"], split=rec["split"])
+        dm = density_path("", item)
+        j, other = by_density.setdefault(dm, (i, item.image))
+        if other != item.image:
+            raise ManifestError(
+                f"{path}: items {j} ({other!r}) and {i} ({item.image!r}) "
+                f"would share the density map {dm!r}"
+            )
+        items.append(item)
     bins_doc = doc["bins"]
     bins = None
     if bins_doc is not None:

@@ -413,9 +413,10 @@ def box_sum(m, radius):
     bot = np.clip(rows + radius, 0, h)
     left = np.clip(cols - radius, 0, wd)
     right = np.clip(cols + radius, 0, wd)
-    return (
-        integ[np.ix_(bot, right)]
-        - integ[np.ix_(top, right)]
-        - integ[np.ix_(bot, left)]
-        + integ[np.ix_(top, left)]
-    )
+    b_rows = integ.take(bot, axis=0)
+    t_rows = integ.take(top, axis=0)
+    out = b_rows.take(right, axis=1)
+    out -= t_rows.take(right, axis=1)
+    out -= b_rows.take(left, axis=1)
+    out += t_rows.take(left, axis=1)
+    return out

@@ -4,6 +4,8 @@ Everything here is written for clarity, not speed: plain Python loops,
 no vectorization tricks shared with the library under test.
 """
 
+import math
+
 import numpy as np
 
 
@@ -163,6 +165,43 @@ def naive_box_sum(m, radius):
                     acc = acc + m[sy, sx]
             out[hi, wi] = acc
     return out
+
+
+def naive_gathered_box_sum(m, radius):
+    """Integral-image window sum with four 2-D fancy gathers: the same
+    ((B_r - T_r) - B_l) + T_l arithmetic as ops.box_sum, so the two must
+    agree byte for byte on any input."""
+    h, wd = m.shape
+    integ = np.zeros((h + 1, wd + 1), dtype=m.dtype)
+    integ[1:, 1:] = m.cumsum(axis=0).cumsum(axis=1)
+    top = np.clip(np.arange(h) - radius, 0, h)
+    bot = np.clip(np.arange(h) + radius, 0, h)
+    left = np.clip(np.arange(wd) - radius, 0, wd)
+    right = np.clip(np.arange(wd) + radius, 0, wd)
+    return (
+        integ[np.ix_(bot, right)]
+        - integ[np.ix_(top, right)]
+        - integ[np.ix_(bot, left)]
+        + integ[np.ix_(top, left)]
+    )
+
+
+def naive_gaussian_density_map(points, height, width, sigma=4.0):
+    """Per-dot Gaussian stamps, each evaluated over its own clipped window
+    and renormalized to sum to 1, added in file order; float64 [H, W]."""
+    m = np.zeros((height, width), dtype=np.float64)
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    radius = math.ceil(4.0 * sigma)
+    for x, y in pts:
+        assert 0 <= x < width and 0 <= y < height
+        cx, cy = int(round(x)), int(round(y))
+        y0, y1 = max(0, cy - radius), min(height, cy + radius + 1)
+        x0, x1 = max(0, cx - radius), min(width, cx + radius + 1)
+        yy = np.arange(y0, y1) - cy
+        xx = np.arange(x0, x1) - cx
+        kernel = np.exp(-(yy[:, None] ** 2 + xx[None, :] ** 2) / (2.0 * sigma * sigma))
+        m[y0:y1, x0:x1] += kernel / kernel.sum()
+    return m
 
 
 def naive_attention_weight(f, g, l):

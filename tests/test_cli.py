@@ -181,6 +181,40 @@ class TestPrepare:
         err = capsys.readouterr().err
         assert "'image'" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_sigma_exits_1(self, tmp_path, capsys, sigma):
+        assert run_synth(tmp_path, images=3) == 0
+        code = main(["prepare", "--manifest", str(tmp_path / "manifest.json"),
+                     "--sigma", sigma])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"--sigma must be positive and finite, got {sigma}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["prepare", "train"])
+    def test_images_sharing_a_density_map_exit_1(self, tmp_path, capsys, command):
+        # a/x.pgm and b/x.pgm would both be prepared into density/x.dm
+        assert run_synth(tmp_path, images=4) == 0
+        items = io_formats.load_manifest(str(tmp_path / "manifest.json")).items
+        for sub, item in zip("ab", items):
+            os.makedirs(tmp_path / sub)
+            os.replace(tmp_path / item.image, tmp_path / sub / "x.pgm")
+        items = [ManifestItem(f"{sub}/x.pgm", item.ann, "train")
+                 for sub, item in zip("ab", items)] + items[2:]
+        manifest_path = str(tmp_path / "manifest.json")
+        io_formats.save_manifest(manifest_path, Manifest(items, None))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"manifest": manifest_path,
+                                      "out_dir": str(tmp_path / "out")}))
+        args = ["--manifest", manifest_path] if command == "prepare" else [
+            "--config", str(config)]
+        assert main([command, *args]) == 1
+        err = capsys.readouterr().err
+        assert "items 0 ('a/x.pgm') and 1 ('b/x.pgm')" in err
+        assert "density/x.dm" in err and "Traceback" not in err
+        assert not os.path.exists(tmp_path / "density")
+        assert not os.path.exists(tmp_path / "out")
+
 
 class TestLoadConfig:
     def test_defaults_fill_in(self, tmp_path):

@@ -1,13 +1,17 @@
 """Tests for ground-truth density maps and scale binning."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from saan import density
+from saan import density, ops
 from saan.density import ScaleBins, bin_of
 from saan.errors import AnnotationError, BinningError, ShapeError
 
-from oracles import naive_box_sum
+from oracles import naive_box_sum, naive_gathered_box_sum, naive_gaussian_density_map
 
 
 @pytest.fixture
@@ -35,14 +39,93 @@ class TestGaussianDensityMap:
         assert np.all(m >= 0)
 
     def test_out_of_bounds_names_dot(self):
-        with pytest.raises(AnnotationError, match="dot 1"):
-            density.gaussian_density_map([(5.0, 5.0), (70.0, 5.0)], 64, 64)
-        with pytest.raises(AnnotationError, match="dot 0"):
-            density.gaussian_density_map([(-0.5, 5.0)], 64, 64)
+        for points, message in [
+            ([(5.0, 5.0), (70.0, 5.0)], "dot 1 at (70.0, 5.0)"),
+            ([(-0.5, 5.0)], "dot 0 at (-0.5, 5.0)"),
+            ([(5.0, 5.0), (5.0, 64.0)], "dot 1 at (5.0, 64.0)"),
+            ([(5.0, 5.0), (np.nan, 5.0), (99.0, 5.0)], "dot 1 at (nan, 5.0)"),
+            ([(5.0, np.inf)], "dot 0 at (5.0, inf)"),
+        ]:
+            with pytest.raises(AnnotationError) as exc:
+                density.gaussian_density_map(points, 64, 64)
+            assert str(exc.value) == f"{message} lies outside the 64x64 image"
 
     def test_bad_sigma(self):
-        with pytest.raises(ValueError):
-            density.gaussian_density_map([(1.0, 1.0)], 8, 8, sigma=0.0)
+        for sigma in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="sigma"):
+                density.gaussian_density_map([(1.0, 1.0)], 8, 8, sigma=sigma)
+
+    def test_wide_sigma_table_is_clipped_to_the_image(self):
+        # r = ceil(4 sigma) = 40000: an unclipped table would be 80001^2
+        # float64; clipped to |dy| <= 20, |dx| <= 30 it is 41x61
+        tracemalloc.start()
+        try:
+            m = density.gaussian_density_map([(0.0, 0.0), (29.5, 19.5)], 20, 30, sigma=1e4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert abs(m.sum() - 2.0) < 1e-9
+
+
+def _edge_dots(h, w):
+    """Every corner and edge midpoint, plus x = W - 0.5 and y = H - 0.5,
+    which round half to even onto column W and row H when W, H are even."""
+    xs = (0.0, w / 2, w - 1.0, w - 0.5)
+    ys = (0.0, h / 2, h - 1.0, h - 0.5)
+    return [(x, y) for x in xs for y in ys if x in (xs[0], xs[-1]) or y in (ys[0], ys[-1])]
+
+
+def _coordinate(n):
+    """A coordinate on a side of n pixels: any float in [0, n), or a
+    half-integer, which rounds half to even."""
+    return st.one_of(st.floats(0.0, float(n), exclude_max=True),
+                     st.integers(0, 2 * n - 1).map(lambda k: k / 2))
+
+
+DENSITY_CASES = [
+    pytest.param([(0.0, 0.0), (2.5, 1.5), (6.5, 4.5), (3.2, 2.7)], 5, 7,
+                 id="smaller_than_a_stamp"),
+    pytest.param(_edge_dots(40, 48), 40, 48, id="edges_and_corners"),
+    pytest.param(_edge_dots(33, 35) + [(17.0, 16.0)], 33, 35, id="odd_sides"),
+    pytest.param([(0.0, 0.0), (0.5, 0.5)], 1, 1, id="one_pixel"),
+    # at sigma 1e4 a stamp covers 96x128 = 12288 pixels: more than one
+    # 8192-element reduction buffer, so its sum depends on its memory layout
+    pytest.param(_edge_dots(96, 128), 96, 128, id="wide_stamp"),
+    pytest.param(np.empty((0, 2)), 16, 24, id="no_dots"),
+]
+
+
+class TestGaussianMatchesNaiveOracle:
+    @pytest.mark.parametrize("sigma", [0.7, 2.3, 4.0, 1e4])
+    @pytest.mark.parametrize("points, h, w", DENSITY_CASES)
+    def test_bytes_equal(self, points, h, w, sigma):
+        got = density.gaussian_density_map(points, h, w, sigma=sigma)
+        want = naive_gaussian_density_map(points, h, w, sigma=sigma)
+        assert got.tobytes() == want.tobytes()
+
+    def test_bytes_equal_at_384x512(self, rng):
+        pts = np.column_stack([rng.uniform(0, 512, 1200), rng.uniform(0, 384, 1200)])
+        pts[:8] = [(0, 0), (511.5, 383.5), (0, 383.5), (511.5, 0),
+                   (255.5, 0), (0, 191.5), (16.5, 16.5), (495.5, 367.5)]
+        got = density.gaussian_density_map(pts, 384, 512)
+        assert got.tobytes() == naive_gaussian_density_map(pts, 384, 512).tobytes()
+        local = ops.box_sum(got, density.LOCAL_RADIUS)
+        assert local.tobytes() == naive_gathered_box_sum(got, density.LOCAL_RADIUS).tobytes()
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_random_maps_bytes_equal(self, data):
+        h = data.draw(st.integers(1, 40), label="h")
+        w = data.draw(st.integers(1, 40), label="w")
+        sigma = data.draw(st.one_of(st.floats(0.1, 12.0), st.sampled_from([1e4, 1e300])),
+                          label="sigma")
+        points = data.draw(st.lists(st.tuples(_coordinate(w), _coordinate(h)), max_size=12),
+                           label="points")
+        got = density.gaussian_density_map(points, h, w, sigma=sigma)
+        assert got.tobytes() == naive_gaussian_density_map(points, h, w, sigma=sigma).tobytes()
+        radius = data.draw(st.integers(0, 45), label="radius")
+        assert ops.box_sum(got, radius).tobytes() == naive_gathered_box_sum(got, radius).tobytes()
 
 
 class TestBinOf:

@@ -133,6 +133,17 @@ class TestDensityCodec:
         with pytest.raises(CodecError, match="trailing"):
             io_formats.load_density(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1e-3])
+    def test_non_finite_or_negative_value_reports_offset(self, tmp_path, value):
+        m = np.zeros((3, 4), dtype=np.float32)
+        m[1, 2] = value
+        m[2, 3] = np.nan
+        path = tmp_path / "e.dm"
+        io_formats.save_density(path, m)
+        with pytest.raises(CodecError, match="not a finite count >= 0") as exc:
+            io_formats.load_density(path)
+        assert exc.value.offset == 16 + 4 * 6
+
 
 class TestManifest:
     def _sample(self, with_bins=True):
