@@ -15,7 +15,7 @@ from dataclasses import fields, replace
 import numpy as np
 
 from . import io_formats, synth, train
-from .density import compute_bins, gaussian_density_map
+from .density import SIGMA_RULE, compute_bins, gaussian_density_map, valid_sigma
 from .errors import ConfigError, SaanError, TrainingError
 from .gradcheck import run_suite
 from .io_formats import Manifest, ManifestItem
@@ -117,8 +117,8 @@ def cmd_prepare(args):
     manifest = io_formats.load_manifest(args.manifest)
     base = os.path.dirname(os.path.abspath(args.manifest))
     io_formats.validate_manifest_files(manifest, base)
-    if not (np.isfinite(args.sigma) and args.sigma > 0):
-        raise ConfigError(f"--sigma must be positive and finite, got {args.sigma}")
+    if not valid_sigma(args.sigma):
+        raise ConfigError(f"--sigma {SIGMA_RULE}, got {args.sigma}")
     os.makedirs(os.path.join(base, "density"), exist_ok=True)
     train_maps = []
     for item in manifest.items:
@@ -128,7 +128,7 @@ def cmd_prepare(args):
         path = io_formats.density_path(base, item)
         io_formats.save_density(path, dm)
         if item.split == "train":
-            train_maps.append(io_formats.load_density(path).astype(np.float64))
+            train_maps.append(io_formats.load_ground_truth(path).astype(np.float64))
     bins = compute_bins(train_maps)
     io_formats.save_manifest(args.manifest, Manifest(items=manifest.items, bins=bins))
     print(json.dumps({

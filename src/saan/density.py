@@ -50,6 +50,14 @@ def bin_of(values, lo, hi):
     return out if out.ndim else int(out)
 
 
+SIGMA_RULE = "must be positive and finite, with 2*sigma^2 > 0 in float64"
+
+
+def valid_sigma(sigma):
+    """Whether sigma can width a Gaussian: see SIGMA_RULE."""
+    return math.isfinite(sigma) and sigma > 0 and 2.0 * sigma * sigma > 0
+
+
 def gaussian_density_map(points, height, width, sigma=4.0):
     """Sum of per-dot normalized Gaussian stamps; float64 [height, width].
 
@@ -59,8 +67,8 @@ def gaussian_density_map(points, height, width, sigma=4.0):
     slice, which sums in the same order as a stamp evaluated over its
     window alone, so a map is byte-identical to per-dot stamping.
     """
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    if not valid_sigma(sigma):
+        raise ValueError(f"sigma {SIGMA_RULE}, got {sigma}")
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     x, y = pts[:, 0], pts[:, 1]
     outside = np.flatnonzero(~((0 <= x) & (x < width) & (0 <= y) & (y < height)))

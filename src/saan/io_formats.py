@@ -4,12 +4,13 @@
   Annotations  UTF-8 text, one "x,y" pair per line, decimal floats, LF.
   Density map  magic "SAANDM1\\n", u32 LE height, u32 LE width, then
                height*width 32-bit LE floats in row-major order,
-               each finite and >= 0.
+               each finite. A ground-truth map's values are also >= 0
+               (a predicted map's need not be).
   Manifest     JSON {"items":[{"image","ann","split"}], "bins": null |
                {"global":[min,max], "local":[min,max]}}; paths are
                relative to the manifest's directory. Ground-truth maps
-               live at <manifest dir>/density/<image stem>.dm, so two
-               different images may not share a stem.
+               live at <manifest dir>/density/<image stem>.dm, so items
+               that share a stem must share their image and annotation.
 
 All loaders fail with structured errors (byte offsets for binary
 formats, line numbers for text) instead of propagating junk. Density
@@ -175,12 +176,24 @@ def load_density(path):
     density = np.frombuffer(buf, dtype="<f4", count=height * width, offset=off).reshape(
         height, width
     ).copy()
-    bad = np.flatnonzero(~((density >= 0) & (density < np.inf)))
-    if bad.size:
-        value = density.flat[bad[0]]
-        raise CodecError(f"{path}: density value {value} is not a finite count >= 0",
-                         offset=off + 4 * int(bad[0]))
+    _refuse_first(path, density, ~np.isfinite(density), "is not finite")
     return density
+
+
+def load_ground_truth(path):
+    """A ground-truth density map: load_density, and no value below 0."""
+    density = load_density(path)
+    _refuse_first(path, density, density < 0, "is negative in a ground-truth map")
+    return density
+
+
+def _refuse_first(path, density, bad, why):
+    """CodecError at the byte offset of the first True in bad, if any."""
+    index = np.flatnonzero(bad)
+    if index.size:
+        i = int(index[0])
+        raise CodecError(f"{path}: density value {density.flat[i]} {why}",
+                         offset=len(DENSITY_MAGIC) + 8 + 4 * i)
 
 
 # ----------------------------------------------------------- manifest
@@ -264,11 +277,11 @@ def load_manifest(path):
             )
         item = ManifestItem(image=rec["image"], ann=rec["ann"], split=rec["split"])
         dm = density_path("", item)
-        j, other = by_density.setdefault(dm, (i, item.image))
-        if other != item.image:
+        j, other = by_density.setdefault(dm, (i, item))
+        if (other.image, other.ann) != (item.image, item.ann):
             raise ManifestError(
-                f"{path}: items {j} ({other!r}) and {i} ({item.image!r}) "
-                f"would share the density map {dm!r}"
+                f"{path}: items {j} ({other.image!r}, {other.ann!r}) and {i} "
+                f"({item.image!r}, {item.ann!r}) would share the density map {dm!r}"
             )
         items.append(item)
     bins_doc = doc["bins"]

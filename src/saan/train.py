@@ -106,7 +106,7 @@ def load_split(manifest, base_dir, split):
     for item in manifest.split_items(split):
         image = io_formats.read_pgm(os.path.join(base_dir, item.image))[None, :, :]
         points = io_formats.read_annotations(os.path.join(base_dir, item.ann))
-        dm = io_formats.load_density(io_formats.density_path(base_dir, item))
+        dm = io_formats.load_ground_truth(io_formats.density_path(base_dir, item))
         if dm.shape != image.shape[1:]:
             raise ManifestError(
                 f"{item.image}: density map is {dm.shape[0]}x{dm.shape[1]} but the "

@@ -181,28 +181,32 @@ class TestPrepare:
         err = capsys.readouterr().err
         assert "'image'" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("sigma", ["nan", "inf"])
-    def test_non_finite_sigma_exits_1(self, tmp_path, capsys, sigma):
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "1e-200"])
+    def test_unusable_sigma_exits_1(self, tmp_path, capsys, sigma):
+        # 2 * 1e-200**2 underflows to 0, which would make every stamp 0/0
         assert run_synth(tmp_path, images=3) == 0
         code = main(["prepare", "--manifest", str(tmp_path / "manifest.json"),
                      "--sigma", sigma])
         assert code == 1
         err = capsys.readouterr().err
-        assert f"--sigma must be positive and finite, got {sigma}" in err
-        assert "Traceback" not in err
+        assert "--sigma must be positive and finite, with 2*sigma^2 > 0" in err
+        assert f"got {float(sigma)}" in err and "Traceback" not in err
+        assert not os.path.exists(tmp_path / "density")
 
+    @pytest.mark.parametrize("second", ["b/x.pgm", "a/x.pgm"])
     @pytest.mark.parametrize("command", ["prepare", "train"])
-    def test_images_sharing_a_density_map_exit_1(self, tmp_path, capsys, command):
-        # a/x.pgm and b/x.pgm would both be prepared into density/x.dm
+    def test_items_sharing_a_density_map_exit_1(self, tmp_path, capsys, command, second):
+        # a/x.pgm and b/x.pgm, or a/x.pgm with two annotation files, would
+        # both be prepared into density/x.dm
         assert run_synth(tmp_path, images=4) == 0
         items = io_formats.load_manifest(str(tmp_path / "manifest.json")).items
         for sub, item in zip("ab", items):
             os.makedirs(tmp_path / sub)
             os.replace(tmp_path / item.image, tmp_path / sub / "x.pgm")
-        items = [ManifestItem(f"{sub}/x.pgm", item.ann, "train")
-                 for sub, item in zip("ab", items)] + items[2:]
+        a, b = (ManifestItem(image, item.ann, "train")
+                for image, item in zip(["a/x.pgm", second], items))
         manifest_path = str(tmp_path / "manifest.json")
-        io_formats.save_manifest(manifest_path, Manifest(items, None))
+        io_formats.save_manifest(manifest_path, Manifest([a, b] + items[2:], None))
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"manifest": manifest_path,
                                       "out_dir": str(tmp_path / "out")}))
@@ -210,9 +214,35 @@ class TestPrepare:
             "--config", str(config)]
         assert main([command, *args]) == 1
         err = capsys.readouterr().err
-        assert "items 0 ('a/x.pgm') and 1 ('b/x.pgm')" in err
+        assert f"items 0 ('a/x.pgm', {a.ann!r}) and 1 ({second!r}, {b.ann!r})" in err
         assert "density/x.dm" in err and "Traceback" not in err
         assert not os.path.exists(tmp_path / "density")
+        assert not os.path.exists(tmp_path / "out")
+
+    def test_one_item_listed_twice_is_prepared(self, tmp_path):
+        assert run_synth(tmp_path, images=4) == 0
+        manifest_path = str(tmp_path / "manifest.json")
+        items = io_formats.load_manifest(manifest_path).items
+        twice = [ManifestItem(items[0].image, items[0].ann, "train")] * 2
+        io_formats.save_manifest(manifest_path, Manifest(twice + items[1:], None))
+        assert main(["prepare", "--manifest", manifest_path]) == 0
+
+    def test_negative_ground_truth_exits_1(self, tmp_path, capsys):
+        assert run_synth(tmp_path, images=4) == 0
+        manifest_path = str(tmp_path / "manifest.json")
+        assert main(["prepare", "--manifest", manifest_path]) == 0
+        manifest = io_formats.load_manifest(manifest_path)
+        path = io_formats.density_path(str(tmp_path), manifest.split_items("train")[0])
+        dm = io_formats.load_density(path)
+        dm[0, 1] = -0.5
+        io_formats.save_density(path, dm)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"manifest": manifest_path,
+                                      "out_dir": str(tmp_path / "out")}))
+        assert main(["train", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: density value -0.5 is negative in a ground-truth map" in err
+        assert "(at byte offset 20)" in err and "Traceback" not in err
         assert not os.path.exists(tmp_path / "out")
 
 
@@ -414,6 +444,22 @@ class TestPredict:
         assert printed == pytest.approx(float(dm.sum()), abs=1e-4)
         pgm = io_formats.read_pgm(prefix + ".pgm")
         assert pgm.shape == (32, 32)
+
+    def test_negative_prediction_reads_back(self, trained, tmp_path, capsys):
+        # the density head is a linear 1x1 conv, so a prediction may be < 0
+        root, manifest_path, _, out_dir = trained
+        params = load_checkpoint(os.path.join(out_dir, "final.ck"))
+        params["fn.conv2.bias"] = params["fn.conv2.bias"] - 100.0
+        ckpt = str(tmp_path / "negative.ck")
+        save_checkpoint(params, ckpt)
+        image = io_formats.load_manifest(manifest_path).items[0].image
+        prefix = str(tmp_path / "pred")
+        assert main(["predict", "--checkpoint", ckpt,
+                     "--image", os.path.join(root, image), "--out", prefix]) == 0
+        printed = float(capsys.readouterr().out.strip())
+        dm = io_formats.load_density(prefix + ".dm")
+        assert dm.max() < 0
+        assert printed == pytest.approx(float(dm.sum()), rel=1e-5)
 
     def test_deterministic(self, trained, tmp_path):
         root, manifest_path, _, out_dir = trained

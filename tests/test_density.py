@@ -51,7 +51,7 @@ class TestGaussianDensityMap:
             assert str(exc.value) == f"{message} lies outside the 64x64 image"
 
     def test_bad_sigma(self):
-        for sigma in (0.0, -1.0, np.nan, np.inf):
+        for sigma in (0.0, -1.0, np.nan, np.inf, 1e-200):
             with pytest.raises(ValueError, match="sigma"):
                 density.gaussian_density_map([(1.0, 1.0)], 8, 8, sigma=sigma)
 

@@ -133,16 +133,31 @@ class TestDensityCodec:
         with pytest.raises(CodecError, match="trailing"):
             io_formats.load_density(path)
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1e-3])
-    def test_non_finite_or_negative_value_reports_offset(self, tmp_path, value):
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_reports_offset(self, tmp_path, value):
         m = np.zeros((3, 4), dtype=np.float32)
         m[1, 2] = value
         m[2, 3] = np.nan
         path = tmp_path / "e.dm"
         io_formats.save_density(path, m)
-        with pytest.raises(CodecError, match="not a finite count >= 0") as exc:
+        with pytest.raises(CodecError, match="is not finite") as exc:
             io_formats.load_density(path)
         assert exc.value.offset == 16 + 4 * 6
+
+    def test_negative_value_is_refused_in_ground_truth_only(self, tmp_path):
+        # a predicted map may hold negative values; a ground-truth one may not
+        m = np.zeros((3, 4), dtype=np.float32)
+        m[1, 2] = -1e-3
+        m[2, 3] = -2.0
+        path = tmp_path / "f.dm"
+        io_formats.save_density(path, m)
+        np.testing.assert_array_equal(io_formats.load_density(path), m)
+        with pytest.raises(CodecError, match="is negative in a ground-truth map") as exc:
+            io_formats.load_ground_truth(path)
+        assert exc.value.offset == 16 + 4 * 6
+        m[m < 0] = 0.25
+        io_formats.save_density(path, m)
+        np.testing.assert_array_equal(io_formats.load_ground_truth(path), m)
 
 
 class TestManifest:
