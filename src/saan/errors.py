@@ -10,13 +10,16 @@ class ShapeError(SaanError, ValueError):
 
 
 class CodecError(SaanError, ValueError):
-    """Malformed binary or text file; carries the byte offset where parsing failed."""
+    """Malformed binary or text file; carries the byte offset where parsing
+    failed and, once a loader has named it, the file's path."""
 
-    def __init__(self, message: str, offset: int | None = None):
+    def __init__(self, message: str, offset: int | None = None, path=None):
+        self.reason, self.offset, self.path = message, offset, path
+        if path is not None:
+            message = f"{path}: {message}"
         if offset is not None:
             message = f"{message} (at byte offset {offset})"
         super().__init__(message)
-        self.offset = offset
 
 
 class ManifestError(SaanError, ValueError):

@@ -19,6 +19,7 @@ failed write leaves the previous file as it was.
 """
 
 import contextlib
+import functools
 import json
 import os
 import shutil
@@ -55,6 +56,19 @@ def atomic_open(path, mode, **kwargs):
         raise
 
 
+def names_its_file(load):
+    """Decorate a loader load(path) so that its CodecErrors name path."""
+    @functools.wraps(load)
+    def load_named(path):
+        try:
+            return load(path)
+        except CodecError as exc:
+            if exc.path is not None:
+                raise
+            raise CodecError(exc.reason, exc.offset, path=path) from None
+    return load_named
+
+
 # ---------------------------------------------------------------- PGM
 
 def write_pgm(path, image01):
@@ -68,6 +82,7 @@ def write_pgm(path, image01):
         fh.write(data.tobytes())
 
 
+@names_its_file
 def read_pgm(path):
     """Binary PGM -> float32 [H,W] in [0,1] (v/255)."""
     with open(path, "rb") as fh:
@@ -155,6 +170,7 @@ def save_density(path, density):
         fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
+@names_its_file
 def load_density(path):
     with open(path, "rb") as fh:
         buf = fh.read()
@@ -192,8 +208,8 @@ def _refuse_first(path, density, bad, why):
     index = np.flatnonzero(bad)
     if index.size:
         i = int(index[0])
-        raise CodecError(f"{path}: density value {density.flat[i]} {why}",
-                         offset=len(DENSITY_MAGIC) + 8 + 4 * i)
+        raise CodecError(f"density value {density.flat[i]} {why}",
+                         offset=len(DENSITY_MAGIC) + 8 + 4 * i, path=path)
 
 
 # ----------------------------------------------------------- manifest

@@ -17,9 +17,16 @@ backward consumes: a weighted layer's entry holds its input and its
 post-activation output, the same array the next layer takes as input,
 and the ReLU backward masks on that output (y > 0 exactly where the
 pre-activation is). A stack that reads the image is walked back with
-input_grad=False, so its first layer computes no input gradient. With
-keep_caches=False (inference) no cache is kept, pools compute no argmax,
-and None is returned for caches.
+input_grad=False, so its first layer computes no input gradient.
+
+With keep_caches=False (inference) no cache is kept and None is returned
+for caches, and two layer pairs run as one op so that no full-resolution
+activation is written: a relu conv and the pool after it run as conv2d
+with pool=True, which pools each block in its epilogue (a trailing odd
+row or column pools alone, which equals pooling the zero-padded relu
+output), and a deconv and the linear one-output 1x1 conv after it run as
+conv2d_transpose with head=(w, b). Both give the bits of the
+layer-by-layer forward.
 """
 
 import numpy as np
@@ -72,24 +79,36 @@ def seq_forward(x, params, prefix, spec, keep_caches=True):
     weighted = {"conv": ops.conv2d, "deconv": ops.conv2d_transpose,
                 "fc": ops.fully_connected}
     caches = [] if keep_caches else None
-    for entry in spec:
+    fused = False
+    for i, entry in enumerate(spec):
         name, kind = entry[0], entry[1]
         base = f"{prefix}.{name}"
-        if kind in weighted:
+        if fused:  # ran in the epilogue of the layer before
+            fused = False
+        elif kind in weighted:
             act = entry[-1]
             if act not in ("relu", "linear"):
                 raise ValueError(f"unknown activation {act!r}")
+            nxt = spec[i + 1] if i + 1 < len(spec) else ("", "")
+            epilogue = {}
+            if not keep_caches:  # the next layer may run in this one's epilogue
+                if kind == "conv" and act == "relu" and nxt[1] == "pool":
+                    epilogue = {"pool": True}
+                elif kind == "deconv" and tuple(nxt[1:]) == ("conv", 1, 1, "linear"):
+                    head = f"{prefix}.{nxt[0]}"
+                    epilogue = {"head": (params[f"{head}.weight"], params[f"{head}.bias"])}
+            fused = bool(epilogue)
             y = weighted[kind](x, params[f"{base}.weight"], params[f"{base}.bias"],
-                               relu=(act == "relu"))
+                               relu=(act == "relu"), **epilogue)
             if keep_caches:
                 caches.append((kind, base, x, y, act))
             x = y
         elif kind == "pool":
-            orig_shape = x.shape
-            xp = _pad_to_even(x)
-            x, idx = ops.maxpool2(xp, index=keep_caches)
+            y, idx = ops.maxpool2(_pad_to_even(x))
             if keep_caches:
-                caches.append((kind, base, orig_shape, xp.shape, idx))
+                padded = y.shape[:2] + (2 * y.shape[2], 2 * y.shape[3])
+                caches.append((kind, base, x.shape, padded, idx))
+            x = y
         elif kind == "gap":
             if x.ndim != 4:
                 raise ShapeError(f"gap expects [N,C,H,W], got rank {x.ndim}")

@@ -189,12 +189,12 @@ def model_forward(image, params, arch=None, lsa_enabled=True, gsa_enabled=True,
         local_logits, lsa_cache = None, None
         l = np.ones((n, 3, h4, w4), dtype=image.dtype)
 
-    weighted = [
+    # passed on unnamed, so the FN stack holds the only reference to its
+    # input and frees it after its first layer when it keeps no caches
+    density_pad, fn_cache = seq_forward(ops.concat_channels([
         ops.scale_broadcast_mul(feats[i], np.ascontiguousarray(g[:, i]), l[:, i : i + 1])
         for i in range(3)
-    ]
-    cat = ops.concat_channels(weighted)
-    density_pad, fn_cache = seq_forward(cat, params, "fn", specs["fn"], keep_caches)
+    ]), params, "fn", specs["fn"], keep_caches)
     density = density_pad[:, :, :h, :w]
 
     return ForwardOutputs(

@@ -18,10 +18,11 @@ gradient is (cols @ gy^T)^T. conv2d returns an [N,C,H,W] view of a
 [C,N,H,W] buffer, so the gy that comes back through it is already
 channel-major. A 1x1 convolution's patch matrix is its input in
 channel-major order (a view, not a copy, when the input came from
-another conv), so it is one GEMM. The weighted ops take relu=True to
-apply max(y, 0) in their epilogue, right after the bias add while each
-output block is still in cache, so an activation is written once; the
-result equals relu() of the plain op bit for bit.
+another conv), so it is one GEMM; a conv with one output channel is a
+fixed-order channel sum instead (_head). The weighted ops take
+relu=True to apply max(y, 0) in their epilogue, right after the bias
+add while each output block is still in cache, so an activation is
+written once; the result equals relu() of the plain op bit for bit.
 
 A patch matrix is one strided copy. The input is copied once into a
 zero-padded channel-major buffer, each channel flattened, so tap
@@ -43,14 +44,24 @@ sub-pixel backward does 2.25x the flops (each phase uses 4 of its 9
 taps) and measured slower at training shapes.
 
 Convolutions work in blocks, each whole images or a band of one image's
-rows. conv2d and its backward copy each block's patch matrix into one
-buffer reused for every block, so a conv's patch memory is one padded
-copy of its input plus a block; the backward sums the weight gradient
-over the blocks of x, then runs the input gradient's conv over the
-blocks of gy. _PATCH_BYTES (about an L2 cache) caps how many rows a
-block takes, but a block holds at least one row, so when one row's
-operand is larger than the budget (wide images, float64) the block is
-too.
+rows, and every band holds an even number of rows except an odd-height
+image's last, so no 2x2 pooling window straddles two blocks. conv2d and
+its backward copy each block's patch matrix into one buffer reused for
+every block, so a conv's patch memory is one padded copy of its input
+plus a block; the backward sums the weight gradient over the blocks of
+x, then runs the input gradient's conv over the blocks of gy.
+_PATCH_BYTES (about an L2 cache) caps how many rows a block takes,
+but a band holds at least two rows, so when two rows' operand is larger
+than the budget (wide images, float64) the block is too. A forward with
+or without fused epilogues runs this one plan, so its GEMMs see the same
+operands and give the same bits.
+
+Two epilogues let inference skip full-resolution activations. With
+pool=True, conv2d 2x2 max-pools each GEMM block (row pairs, then column
+pairs; a trailing odd row or column alone) before the bias and relu,
+which is exact because both are monotone. With head=(w1, b1),
+conv2d_transpose applies the bias and relu to each GEMM block in place,
+then the one-output 1x1 conv by _head, and writes only its one channel.
 
 Max pooling takes the max of row pairs first, then of column pairs of
 that, so each input element is read once along its row; the backward
@@ -112,17 +123,20 @@ def _patches(buf, k, hp, wp, n0, n1, r0, r1, width, stride=1):
 
 def _row_blocks(n, h, row_bytes):
     """Split the (image, row) range of an [N,.,H,.] map into blocks of
-    as many rows as fit in _PATCH_BYTES at row_bytes each, but at least
-    one row: runs of whole images while one image fits, else bands of one
-    image's rows. Yields (n0, n1, r0, r1); the blocks tile the flattened
-    (n, h) index in order, so each is one column range of a [C, N*H*W]
-    matrix. The first block is the largest."""
-    rows = max(1, _PATCH_BYTES // row_bytes)
+    as many rows as fit in _PATCH_BYTES at row_bytes each: runs of whole
+    images while one image fits, else bands of one image's rows, their
+    count rounded down to even but at least two, so every band is even but
+    an odd-height image's last. Yields (n0, n1, r0, r1); the blocks tile
+    the flattened (n, h) index in order, so each is one column range of a
+    [C, N*H*W] matrix, and no 2x2 pooling window straddles two blocks.
+    The first block is the largest."""
+    rows = _PATCH_BYTES // row_bytes
     if rows >= h:
         step = rows // h
         for n0 in range(0, n, step):
             yield n0, min(n, n0 + step), 0, h
     else:
+        rows = max(2, rows // 2 * 2)
         for i in range(n):
             for r0 in range(0, h, rows):
                 yield i, i + 1, r0, min(h, r0 + rows)
@@ -153,40 +167,77 @@ def _patch_blocks(x, k, width):
         yield n0, n1, r0, r1, cols.reshape(ckk, -1)
 
 
-def conv2d(x, w, b, relu=False):
+def conv2d(x, w, b, relu=False, pool=False):
     """Stride-1 same-padding convolution. x: [N,Cin,H,W], w: [Cout,Cin,k,k].
 
     relu=True applies max(y, 0) to each output block after its bias add,
-    so the result equals relu(conv2d(x, w, b)) bit for bit."""
+    so the result equals relu(conv2d(x, w, b)) bit for bit. pool=True
+    2x2 max-pools each block before its bias add, a trailing odd row or
+    column alone, and returns [N,Cout,ceil(H/2),ceil(W/2)]; with relu it
+    equals maxpool2 of the zero-padded relu output bit for bit."""
     _check_conv_args(x, w, b, "oikk")
     k = w.shape[2]
     if k % 2 != 1:
         raise ShapeError(f"kernel size must be odd for same padding, got {k}")
     n, _, h, wd = x.shape
+    if pool:
+        h, wd = (h + 1) // 2, (wd + 1) // 2
     y = np.empty((w.shape[0], n, h, wd), dtype=np.result_type(x, w, b))
-    _conv2d(x, w, b, relu, y)
+    _conv2d(x, w, b, relu, y, pool=pool)
     return y.transpose(1, 0, 2, 3)
 
 
-def _conv2d(x, w, b, relu, y):
+def _conv2d(x, w, b, relu, y, pool=False, head=None):
     """conv2d of x for an odd k, written block by block into y, an array
-    of shape lead + (N, H, W) whose lead axes flatten to Cout in order
-    (they may be strided). A private name, so that the calls from the
-    deconv and from conv2d_backward do not go through a wrapper
-    installed on conv2d."""
+    of shape lead + (C, N, H, W) whose lead and channel axes flatten to
+    Cout in order (they may be strided). pool=True pools each block (y is
+    then ceil(H/2) x ceil(W/2)); head=(w1, b1), a one-output 1x1 conv,
+    is applied to each block after its bias and relu, and y holds its one
+    channel. A private name, so that the calls from the deconv and from
+    conv2d_backward do not go through a wrapper installed on conv2d."""
     k = w.shape[2]
     wd = x.shape[3]
-    lead = y.shape[:-3]
+    lead = y.shape[:-4] + (-1,)
     w2 = w.reshape(w.shape[0], -1)
     bias = b.reshape(lead + (1, 1, 1))
     wp = wd + k - 1
     for n0, n1, r0, r1, cols in _patch_blocks(x, k, wp):
-        out = (w2 @ cols).reshape(lead + (n1 - n0, r1 - r0, wp))[..., :wd]
-        yb = y[..., n0:n1, r0:r1, :]
+        out = _head(cols, w2[0])[None] if len(w2) == 1 else w2 @ cols
+        out = out.reshape(lead + (n1 - n0, r1 - r0, wp))[..., :wd]
+        if pool:
+            out = _pool2(out)
+            r0, r1 = r0 // 2, (r1 + 1) // 2
+        yb = out if head else y[..., n0:n1, r0:r1, :]
         np.add(out, bias, out=yb)
         if relu:
             np.maximum(yb, 0, out=yb)
-        del out  # before the next block's GEMM allocates its own
+        if head:
+            np.add(_head(np.moveaxis(yb, -4, 0), head[0].ravel()), head[1],
+                   out=y[..., 0, n0:n1, r0:r1, :])
+        del out, yb  # before the next block's GEMM allocates its own
+
+
+def _head(x, w):
+    """sum over c of x[c] * w[c], added in channel order. A one-output
+    GEMM's sums depend on how its columns are blocked; these do not, so a
+    one-output conv gives the same bits however its patch matrix is split."""
+    acc = x[0] * w[0]
+    for c in range(1, len(w)):
+        acc += x[c] * w[c]
+    return acc
+
+
+def _pool2(a):
+    """2x2 max pool over a's last two axes, row pairs first; a trailing odd
+    row or column is pooled alone."""
+    h, wd = a.shape[-2:]
+    r = np.empty(a.shape[:-2] + ((h + 1) // 2, wd), dtype=a.dtype)
+    np.maximum(a[..., 0 : h - 1 : 2, :], a[..., 1::2, :], out=r[..., : h // 2, :])
+    r[..., h // 2 :, :] = a[..., h - h % 2 :, :]
+    y = np.empty(r.shape[:-1] + ((wd + 1) // 2,), dtype=a.dtype)
+    np.maximum(r[..., 0 : wd - 1 : 2], r[..., 1::2], out=y[..., : wd // 2])
+    y[..., wd // 2 :] = r[..., wd - wd % 2 :]
+    return y
 
 
 def conv2d_backward(gy, x, w, input_grad=True):
@@ -212,7 +263,7 @@ def conv2d_backward(gy, x, w, input_grad=True):
     return gx.transpose(1, 0, 2, 3), gw, gb
 
 
-def conv2d_transpose(x, w, b, relu=False):
+def conv2d_transpose(x, w, b, relu=False, head=None):
     """Transposed convolution, kernel 4 / stride 2 / padding 1.
 
     x: [N,Cin,H,W], w: [Cin,Cout,4,4] -> [N,Cout,2H,2W]. Exact adjoint of
@@ -225,7 +276,10 @@ def conv2d_transpose(x, w, b, relu=False):
     3, 3] kernel (zero where no tap lands) computes them all. Its
     epilogue writes each block of phase (a, b) straight into
     y[:, :, a::2, b::2], so each output is written once; relu=True fuses
-    max(y, 0) into it.
+    max(y, 0) into it. head=(w1, b1), the [1,Cout,1,1] and [1] parameters
+    of a linear 1x1 conv, applies that conv in the epilogue too and
+    returns its [N,1,2H,2W] output, equal bit for bit to
+    conv2d(conv2d_transpose(x, w, b, relu), w1, b1).
     """
     _check_conv_args(x, w, b, "iokk")
     if w.shape[2] != 4:
@@ -236,10 +290,11 @@ def conv2d_transpose(x, w, b, relu=False):
     for ky in range(4):
         for kx in range(4):
             k3[(ky + 1) % 2, (kx + 1) % 2, :, :, (4 - ky) // 2, (4 - kx) // 2] = w[:, :, ky, kx].T
-    y = np.empty((cout, n, 2 * h, 2 * wd), dtype=np.result_type(x, w, b))
+    c = 1 if head else cout
+    y = np.empty((c, n, 2 * h, 2 * wd), dtype=np.result_type(x, w, b, *(head or ())))
     # phases[a, b] is the view y[:, :, a::2, b::2]
-    phases = y.reshape(cout, n, h, 2, wd, 2).transpose(3, 5, 0, 1, 2, 4)
-    _conv2d(x, k3.reshape(4 * cout, cin, 3, 3), np.tile(b, 4), relu, phases)
+    phases = y.reshape(c, n, h, 2, wd, 2).transpose(3, 5, 0, 1, 2, 4)
+    _conv2d(x, k3.reshape(4 * cout, cin, 3, 3), np.tile(b, 4), relu, phases, head=head)
     return y.transpose(1, 0, 2, 3)
 
 
@@ -264,28 +319,24 @@ def conv2d_transpose_backward(gy, x, w, input_grad=True):
     return gx.transpose(1, 0, 2, 3), gw, gb
 
 
-def maxpool2(x, index=True):
+def maxpool2(x):
     """2x2 max pooling with stride 2. Returns (pooled, argmax offsets).
 
     Offsets are flat indices into each window in row-major (dy, dx) order;
     ties resolve to the first position scanned. The max is taken over row
-    pairs first, then over column pairs of that, so each input element is
-    read once (a NaN anywhere in a window gives NaN, and offset 3); the
-    offsets compare the four strided window views against it. This is
-    the four-view max bit for bit, except that a window tying +0 with -0
-    may return the other zero (np.maximum returns its second operand on a
-    tie; a relu output holds no -0). With index=False no offsets are
-    computed and None is returned for them.
+    pairs first, then over column pairs of that (_pool2, the pool conv2d
+    fuses), so each input element is read once (a NaN anywhere in a window
+    gives NaN, and offset 3); the offsets compare the four strided window
+    views against it. This is the four-view max bit for bit, except that a
+    window tying +0 with -0 may return the other zero (np.maximum returns
+    its second operand on a tie; a relu output holds no -0).
     """
     if x.ndim != 4:
         raise ShapeError(f"input must be 4-D [N,C,H,W], got rank {x.ndim}")
     h, wd = x.shape[2:]
     if h % 2 or wd % 2:
         raise ShapeError(f"maxpool2 needs even H,W, got {h}x{wd}; pad the input first")
-    r = np.maximum(x[:, :, 0::2], x[:, :, 1::2])
-    y = np.maximum(r[..., 0::2], r[..., 1::2])
-    if not index:
-        return y, None
+    y = _pool2(x)
     views = [x[:, :, dy::2, dx::2] for dy in (0, 1) for dx in (0, 1)]
     idx = np.where(views[2] == y, np.int8(2), np.int8(3))
     for k in (1, 0):

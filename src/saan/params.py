@@ -18,7 +18,7 @@ import struct
 import numpy as np
 
 from .errors import CodecError, InventoryError
-from .io_formats import atomic_open
+from .io_formats import atomic_open, names_its_file
 from .layers import spec_params
 
 MAGIC = b"SAANCK1\n"
@@ -89,6 +89,7 @@ def _take(buf, offset, n, what):
     return buf[offset : offset + n], offset + n
 
 
+@names_its_file
 def load_checkpoint(path):
     """Read a checkpoint back into a name -> float32 array map."""
     with open(path, "rb") as fh:

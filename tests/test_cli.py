@@ -245,6 +245,34 @@ class TestPrepare:
         assert "(at byte offset 20)" in err and "Traceback" not in err
         assert not os.path.exists(tmp_path / "out")
 
+    def test_ascii_pgm_exits_1_naming_the_file(self, tmp_path, capsys):
+        assert run_synth(tmp_path, images=4) == 0
+        manifest_path = str(tmp_path / "manifest.json")
+        path = os.path.join(str(tmp_path), io_formats.load_manifest(manifest_path).items[2].image)
+        pixels = (io_formats.read_pgm(path) * 255).round().astype(int)
+        with open(path, "w") as fh:
+            fh.write(f"P2\n{pixels.shape[1]} {pixels.shape[0]}\n255\n")
+            fh.write(" ".join(map(str, pixels.ravel())) + "\n")
+        assert main(["prepare", "--manifest", manifest_path]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: not a binary pgm (magic b'P2') (at byte offset 0)" in err
+        assert "Traceback" not in err
+
+    def test_truncated_density_map_exits_1_naming_the_file(self, tmp_path, capsys):
+        assert run_synth(tmp_path, images=4) == 0
+        manifest_path = str(tmp_path / "manifest.json")
+        assert main(["prepare", "--manifest", manifest_path]) == 0
+        manifest = io_formats.load_manifest(manifest_path)
+        path = io_formats.density_path(str(tmp_path), manifest.split_items("train")[0])
+        with open(path, "r+b") as fh:
+            fh.truncate(30)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"manifest": manifest_path,
+                                      "out_dir": str(tmp_path / "out")}))
+        assert main(["train", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: density data truncated" in err and "Traceback" not in err
+
 
 class TestLoadConfig:
     def test_defaults_fill_in(self, tmp_path):
@@ -489,6 +517,14 @@ class TestPredict:
         save_checkpoint(params, bad)
         assert self._predict(trained, tmp_path, bad) == 1
         assert "fn.conv2.weight" in capsys.readouterr().err
+
+    def test_bad_checkpoint_magic_exits_1_naming_the_file(self, trained, tmp_path, capsys):
+        _, _, _, out_dir = trained
+        bad = tmp_path / "bad.ck"
+        bad.write_bytes(b"NOTACK1\n" + open(os.path.join(out_dir, "final.ck"), "rb").read()[8:])
+        assert self._predict(trained, tmp_path, str(bad)) == 1
+        err = capsys.readouterr().err
+        assert f"{bad}: bad checkpoint magic b'NOTACK1\\n' (at byte offset 0)" in err
 
     def test_other_arch_exits_1(self, trained, tmp_path, capsys):
         tiny = str(tmp_path / "tiny.ck")

@@ -1,5 +1,7 @@
 """Tests for the four sub-networks, the assembled model, and checkpoints."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -188,10 +190,12 @@ class TestModelForward:
         np.testing.assert_array_equal(d1, d2)
 
     @pytest.mark.parametrize("arch", [Arch.tiny(), Arch.default()], ids=["tiny", "default"])
-    @pytest.mark.parametrize("hw", [(15, 17), (20, 12)])
+    @pytest.mark.parametrize("hw", [(15, 17), (20, 12), (155, 203)])
     @pytest.mark.parametrize("gsa", [True, False])
     @pytest.mark.parametrize("lsa", [True, False])
     def test_cache_free_density_is_bitwise_equal(self, rng, arch, hw, gsa, lsa):
+        # the cache-free forward pools in the conv epilogue and runs the
+        # density head in fn.deconv1's; the kept one runs every layer
         p = params.init_params(arch, rng=np.random.default_rng(5))
         x = rng.uniform(0, 1, (1, 1) + hw).astype(np.float32)
         kept = network.model_forward(x, p, arch, lsa_enabled=lsa, gsa_enabled=gsa)
@@ -199,6 +203,28 @@ class TestModelForward:
                                      keep_caches=False)
         assert kept.cache and free.cache == {}
         assert free.density.tobytes() == kept.density.tobytes()
+
+    def test_bitwise_size_runs_several_blocks(self):
+        # 155x203 pads to 156x204: the default mfe.branch1.conv0 (one
+        # channel, k 9) and fn.deconv1 (16 channels, 3x3 over 78x102) each
+        # run more than one block, and gsa.pool2 pools a 39x51 map
+        assert len(list(ops._row_blocks(1, 156, 81 * 212 * 4))) > 1
+        assert len(list(ops._row_blocks(1, 78, 16 * 9 * 104 * 4))) > 1
+        assert Arch.default().fn_deconvs[-1] == 16
+
+    def test_cache_free_peak_memory_at_384x512(self, rng, full):
+        # no full-resolution activation is written: the pools run in the
+        # conv epilogues and the density head in fn.deconv1's
+        arch, p = full
+        x = rng.uniform(0, 1, (1, 1, 384, 512)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            network.model_forward(x, p, arch, keep_caches=False)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
 
 
 class TestModelBackward:

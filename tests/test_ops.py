@@ -68,46 +68,91 @@ class TestConv2d:
         assert skipped[2].tobytes() == gb.tobytes()
 
     @pytest.mark.parametrize("k", [1, 3, 5, 7])
-    @pytest.mark.parametrize("rows, blocks", [(1, 14), (3, 6), (7, 2), (14, 1)])
-    def test_blocked_matches_naive_oracle(self, rng, monkeypatch, k, rows, blocks):
-        # a budget of `rows` patch rows, each as wide as the padded odd
-        # width: bands of one image's rows with a short last band, one
-        # image per block, or the whole batch at once (k == 1 never blocks)
-        x = dyadic(rng, (2, 3, 7, 5))
+    @pytest.mark.parametrize("pairs, blocks", [(1, 14), (3, 6), (7, 2), (14, 1)])
+    def test_blocked_matches_naive_oracle(self, rng, monkeypatch, k, pairs, blocks):
+        # a budget of `pairs` pairs of patch rows, each as wide as the
+        # padded odd width: two-row bands of one image's 13 rows, six-row
+        # bands with a one-row last band, one image per block, or the whole
+        # batch at once (k == 1 never blocks)
+        x = dyadic(rng, (2, 3, 13, 5))
         w = dyadic(rng, (2, 3, k, k))
         b = dyadic(rng, 2)
         row_bytes = 3 * k * k * (5 + k - 1) * x.itemsize
-        monkeypatch.setattr(ops, "_PATCH_BYTES", rows * row_bytes)
-        assert len(list(ops._row_blocks(2, 7, row_bytes))) == blocks
+        monkeypatch.setattr(ops, "_PATCH_BYTES", 2 * pairs * row_bytes)
+        assert len(list(ops._row_blocks(2, 13, row_bytes))) == blocks
         np.testing.assert_array_equal(ops.conv2d(x, w, b), naive_conv2d(x, w, b))
+
+    def test_blocks_hold_even_rows(self, monkeypatch):
+        # a budget of 0 or 5 rows gives bands of 2 and 4; only an
+        # odd-height image's last band is odd, and images that fit are whole
+        monkeypatch.setattr(ops, "_PATCH_BYTES", 0)
+        assert list(ops._row_blocks(1, 5, 1)) == [(0, 1, 0, 2), (0, 1, 2, 4), (0, 1, 4, 5)]
+        monkeypatch.setattr(ops, "_PATCH_BYTES", 5)
+        assert list(ops._row_blocks(2, 7, 1)) == [(0, 1, 0, 4), (0, 1, 4, 7),
+                                                  (1, 2, 0, 4), (1, 2, 4, 7)]
+        assert list(ops._row_blocks(3, 2, 1)) == [(0, 2, 0, 2), (2, 3, 0, 2)]
 
     @pytest.mark.parametrize("k", [1, 3, 7])
     def test_fused_relu_matches_unfused(self, rng, monkeypatch, k):
-        # a one-row budget: the epilogue of every one-row band applies the
+        # a one-pair budget: the epilogue of every two-row band applies the
         # relu (k == 1 applies it once to the whole output)
         x = dyadic(rng, (2, 3, 7, 5))
         w = dyadic(rng, (2, 3, k, k))
         b = dyadic(rng, 2)
         row_bytes = 3 * k * k * (5 + k - 1) * x.itemsize
-        monkeypatch.setattr(ops, "_PATCH_BYTES", row_bytes)
-        assert len(list(ops._row_blocks(2, 7, row_bytes))) == 14
+        monkeypatch.setattr(ops, "_PATCH_BYTES", 2 * row_bytes)
+        assert len(list(ops._row_blocks(2, 7, row_bytes))) == 8
         fused = ops.conv2d(x, w, b, relu=True)
         np.testing.assert_array_equal(fused, ops.relu(ops.conv2d(x, w, b)))
         np.testing.assert_array_equal(fused, ops.relu(naive_conv2d(x, w, b)))
 
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    @pytest.mark.parametrize("hw", [(8, 6), (7, 5), (13, 1), (1, 4)])
+    @pytest.mark.parametrize("rows", [1, 3, 6, 100])
+    def test_fused_pool_matches_pool_of_padded_relu(self, rng, monkeypatch, k, hw, rows):
+        # each block pools its row pairs, then column pairs, before the bias
+        # and relu; a trailing odd row or column pools alone, which is the
+        # zero padding of a relu output. Budgets of 1, 3 and 6 rows give
+        # two-, two- and six-row bands; 100 gives whole images.
+        x = dyadic(rng, (2, 3) + hw)
+        w = dyadic(rng, (4, 3, k, k))
+        b = dyadic(rng, 4)
+        row_bytes = 3 * k * k * (hw[1] + k - 1) * x.itemsize
+        monkeypatch.setattr(ops, "_PATCH_BYTES", rows * row_bytes)
+        want, _ = ops.maxpool2(layers._pad_to_even(ops.relu(naive_conv2d(x, w, b))))
+        got = ops.conv2d(x, w, b, relu=True, pool=True)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
     @pytest.mark.parametrize("k", [3, 7])
-    @pytest.mark.parametrize("rows, blocks", [(1, 14), (3, 6), (7, 2), (14, 1)])
-    def test_blocked_backward_matches_naive_oracle(self, rng, monkeypatch, k, rows, blocks):
+    @pytest.mark.parametrize("pairs, blocks", [(1, 14), (3, 6), (7, 2), (14, 1)])
+    def test_blocked_backward_matches_naive_oracle(self, rng, monkeypatch, k, pairs, blocks):
         # the weight gradient's patch rows are the exact width; each block
         # of x's patch matrix adds its share of gw
-        x = dyadic(rng, (2, 3, 7, 5))
+        x = dyadic(rng, (2, 3, 13, 5))
         w = dyadic(rng, (2, 3, k, k))
-        gy = dyadic(rng, (2, 2, 7, 5))
+        gy = dyadic(rng, (2, 2, 13, 5))
         row_bytes = 3 * k * k * 5 * x.itemsize
-        monkeypatch.setattr(ops, "_PATCH_BYTES", rows * row_bytes)
-        assert len(list(ops._row_blocks(2, 7, row_bytes))) == blocks
+        monkeypatch.setattr(ops, "_PATCH_BYTES", 2 * pairs * row_bytes)
+        assert len(list(ops._row_blocks(2, 13, row_bytes))) == blocks
         for got, want in zip(ops.conv2d_backward(gy, x, w), naive_conv2d_backward(gy, x, w)):
             np.testing.assert_array_equal(got, want)
+
+    def test_one_output_sum_ignores_the_block_split(self, rng, monkeypatch):
+        # float values, where a GEMM's rounding may depend on the split: a
+        # one-output conv sums its channels in a fixed order, so two-row
+        # bands and the whole batch at once give the same bits, and so do
+        # the 1x1 head's sums over any split of its columns
+        x = rng.standard_normal((2, 16, 12, 40)).astype(np.float32)
+        w = rng.standard_normal((1, 16, 3, 3)).astype(np.float32)
+        b = rng.standard_normal(1).astype(np.float32)
+        whole = ops.conv2d(x, w, b)
+        monkeypatch.setattr(ops, "_PATCH_BYTES", 1)
+        assert ops.conv2d(x, w, b).tobytes() == whole.tobytes()
+        cols, w1 = x.transpose(1, 0, 2, 3).reshape(16, -1), w[0, :, 1, 1]
+        split = np.concatenate([ops._head(cols[:, i : i + 7], w1)
+                                for i in range(0, cols.shape[1], 7)])
+        assert split.tobytes() == ops._head(cols, w1).tobytes()
 
     @pytest.mark.parametrize("k", [3, 5, 7])
     @pytest.mark.parametrize("rows, blocks", [(7, 2), (4, 4), (2, 8)])
@@ -212,20 +257,23 @@ class TestConv2dTranspose:
                 ops.conv2d_transpose(x, w, b), naive_conv2d_transpose(x, w, b)
             )
 
-    @pytest.mark.parametrize("rows, blocks", [(1, 10), (2, 6), (5, 2), (10, 1)])
-    def test_blocked_matches_naive_oracle(self, rng, monkeypatch, rows, blocks):
+    @pytest.mark.parametrize("pairs, blocks", [(1, 10), (2, 6), (5, 2), (10, 1)])
+    def test_blocked_matches_naive_oracle(self, rng, monkeypatch, pairs, blocks):
         # the sub-pixel conv's patch rows: Cin * 3 * 3 taps over the padded
         # width; each block writes its rows of all four output phases, with
-        # and without the fused relu
-        x = dyadic(rng, (2, 3, 5, 3))
+        # and without the fused relu, and with the fused 1x1 head
+        x = dyadic(rng, (2, 3, 9, 3))
         w = dyadic(rng, (3, 2, 4, 4))
         b = dyadic(rng, 2)
+        w1, b1 = dyadic(rng, (1, 2, 1, 1)), dyadic(rng, 1)
         row_bytes = 3 * 9 * (3 + 2) * x.itemsize
-        monkeypatch.setattr(ops, "_PATCH_BYTES", rows * row_bytes)
-        assert len(list(ops._row_blocks(2, 5, row_bytes))) == blocks
+        monkeypatch.setattr(ops, "_PATCH_BYTES", 2 * pairs * row_bytes)
+        assert len(list(ops._row_blocks(2, 9, row_bytes))) == blocks
         want = naive_conv2d_transpose(x, w, b)
         np.testing.assert_array_equal(ops.conv2d_transpose(x, w, b), want)
         np.testing.assert_array_equal(ops.conv2d_transpose(x, w, b, relu=True), ops.relu(want))
+        headed = ops.conv2d_transpose(x, w, b, relu=True, head=(w1, b1))
+        np.testing.assert_array_equal(headed, naive_conv2d(ops.relu(want), w1, b1))
 
     @pytest.mark.parametrize("input_grad", [True, False])
     def test_backward_matches_naive_oracle(self, rng, input_grad):
@@ -289,37 +337,48 @@ class TestMaxPool2:
             np.testing.assert_array_equal(y, ey)
             np.testing.assert_array_equal(idx, eidx)
 
+    @staticmethod
+    def _pooled(x, fused):
+        """maxpool2's pooled map, or the pool that conv2d fuses into its
+        epilogue, run behind a one-channel identity conv per channel."""
+        if not fused:
+            return ops.maxpool2(x)
+        one = np.ones((1, 1, 1, 1))
+        return np.concatenate([ops.conv2d(x[:, c : c + 1], one, np.zeros(1), pool=True)
+                               for c in range(x.shape[1])], axis=1), None
+
     def test_ties_with_and_without_index(self, rng):
-        # three values over four positions: most windows hold a tie
+        # three values over four positions: most windows hold a tie; the
+        # pool fused into a conv's epilogue computes no index
         x = dyadic(rng, (2, 3, 6, 8), denom=1, lo=0, hi=2)
         ey, eidx = naive_maxpool2(x)
         y, idx = ops.maxpool2(x)
         np.testing.assert_array_equal(y, ey)
         np.testing.assert_array_equal(idx, eidx)
-        y_only, none = ops.maxpool2(x, index=False)
+        fused, none = self._pooled(x, fused=True)
         assert none is None
-        assert y_only.tobytes() == y.tobytes()
+        assert fused.tobytes() == y.tobytes()
 
-    @pytest.mark.parametrize("index", [True, False])
-    def test_nan_propagates(self, rng, index):
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_nan_propagates(self, rng, fused):
         x = dyadic(rng, (1, 2, 4, 4))
         x[0, 1, 3, 2] = np.nan
-        y, _ = ops.maxpool2(x, index=index)
+        y, _ = self._pooled(x, fused)
         assert np.isnan(y[0, 1, 1, 1])
         y[0, 1, 1, 1] = 0.0
         assert np.all(np.isfinite(y))
 
-    @pytest.mark.parametrize("index", [True, False])
+    @pytest.mark.parametrize("fused", [False, True])
     @pytest.mark.parametrize("pos", range(4))
-    def test_nan_in_each_window_position(self, rng, index, pos):
+    def test_nan_in_each_window_position(self, rng, fused, pos):
         # the row max and the column max each see the NaN whichever
         # operand holds it
         x = dyadic(rng, (1, 1, 4, 4))
         x[0, 0, 2 + pos // 2, 2 + pos % 2] = np.nan
-        y, idx = ops.maxpool2(x, index=index)
+        y, idx = self._pooled(x, fused)
         assert np.isnan(y[0, 0, 1, 1])
         assert np.isfinite(np.delete(y.ravel(), 3)).all()
-        if index:
+        if not fused:
             assert idx[0, 0, 1, 1] == 3
 
     @pytest.mark.parametrize("shape", [(2, 3, 6, 8), (2, 3, 7, 5)])
