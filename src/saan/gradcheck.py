@@ -91,7 +91,8 @@ _OP_CASES = [
      lambda r, y, x: [ops.maxpool2_backward(r, ops.maxpool2(x)[1], x.shape)]),
     ("fully_connected", lambda rng: _uniform(rng, (3, 4), (4, 5), 5),
      ops.fully_connected, lambda r, y, x, w, b: ops.fully_connected_backward(r, x, w)),
-    ("relu", _draw_relu_input, ops.relu, lambda r, y, x: [ops.relu_backward(r, x)]),
+    ("relu", _draw_relu_input, lambda x: np.maximum(x, 0),
+     lambda r, y, x: [ops.relu_backward(r, x)]),
     ("sigmoid", lambda rng: [rng.uniform(-2, 2, (3, 5))],
      ops.sigmoid, lambda r, y, x: [ops.sigmoid_backward(r, y)]),
     ("softmax", lambda rng: [rng.uniform(-2, 2, (3, 4))],

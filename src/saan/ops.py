@@ -8,31 +8,41 @@ Convolutions are stride-1 "same" with odd kernels so spatial dims are
 preserved; the transposed convolution is fixed at kernel 4 / stride 2 /
 padding 1 (exact x2 upsampling).
 
-Convolution runs on one channel-major patch layout, [C*k*k, N*H*W]
-(im2col), and _conv2d is the one routine that builds a conv's patch
-matrix and multiplies it by the kernel. The forward is W @ cols. The
-input gradient of a stride-1 "same" conv with odd k is itself a "same"
-conv of gy, with W's in and out axes swapped and both kernel axes
-flipped, so conv2d_backward runs _conv2d on gy for it; the weight
-gradient is (cols @ gy^T)^T. conv2d returns an [N,C,H,W] view of a
-[C,N,H,W] buffer, so the gy that comes back through it is already
-channel-major. A 1x1 convolution's patch matrix is its input in
+Convolution runs on channel-major patch matrices (im2col), and _conv2d
+is the one routine that builds a conv's patch matrix and multiplies it
+by the kernel. The input gradient of a stride-1 "same" conv with odd k
+is itself a "same" conv of gy, with W's in and out axes swapped and
+both kernel axes flipped, so conv2d_backward runs _conv2d on gy for it;
+the weight gradient is (cols @ gy^T)^T. conv2d returns an [N,C,H,W]
+view of a [C,N,H,W] buffer, so the gy that comes back through it is
+already channel-major. A 1x1 convolution's patch matrix is its input in
 channel-major order (a view, not a copy, when the input came from
-another conv), so it is one GEMM; a conv with one output channel is a
-fixed-order channel sum instead (_head). The weighted ops take
-relu=True to apply max(y, 0) in their epilogue, right after the bias
-add while each output block is still in cache, so an activation is
-written once; the result equals relu() of the plain op bit for bit.
+another conv), so it is one GEMM; a one-output conv with full patch
+rows (below) is a fixed-order channel sum instead (_head). The weighted
+ops take relu=True to apply max(y, 0) in their epilogue, right after
+the bias add while each output block is still in cache, so an
+activation is written once; the result equals max(y, 0) of the plain
+op bit for bit.
 
-A patch matrix is one strided copy. The input is copied once into a
+A patch matrix is a strided copy. The input is copied once into a
 zero-padded channel-major buffer, each channel flattened, so tap
 (dy, dx) of padded pixel (n, r, c) sits at a fixed offset from it and
 every patch matrix is an as_strided view of that buffer. The forward's
-view spans all Wp = W + 2p padded columns of each row: tap (dy, dx) is
-the plain offset dy*Wp + dx, each tap row of a block is one long run
-(k-1 zeros of slack end the buffer), and the GEMM output is cropped back
-to W columns on its way into the output. The weight gradient's view is
-the exact [C*k*k, N*H*W] matrix.
+view spans all Wp = W + 2p padded columns of each row, so tap (dy, dx)
+is the plain offset dy*Wp + dx and the GEMM output is cropped back to W
+columns on its way into the output. A conv with C >= k input channels
+copies only the k row taps of each channel (the MEC lowering, Cho &
+Brand 2017): row (c, dy) of a band is one run of the buffer, plus the
+k-1 elements after it (k-1 zeros of slack end the buffer), a [C*k,
+L+k-1] matrix with k times fewer rows than im2col's. One GEMM with the
+kernel re-laid as [k*Cout, C*k], dx-major, gives every column tap's
+partial sums, and output column j adds rows dx*Cout.. of column j+dx
+for dx in order (kn2row, Vasudevan, Anderson & Gregg 2017). A shift
+reads past a row's end, into the next row or image or the tail, only in
+the columns that the crop drops. A conv with C < k (the one-channel
+image convs, where C*k rows make too thin a GEMM) copies all k*k taps,
+a [C*k*k, L] matrix, and is one GEMM of the flattened kernel. The
+weight gradient's view is the exact [C*k*k, N*H*W] matrix.
 
 The transposed conv's forward is a sub-pixel convolution: each of the
 four output phases y[:, :, a::2, b::2] is a 3x3 "same" conv of x, so
@@ -51,6 +61,7 @@ every block, so a conv's patch memory is one padded copy of its input
 plus a block; the backward sums the weight gradient over the blocks of
 x, then runs the input gradient's conv over the blocks of gy.
 _PATCH_BYTES (about an L2 cache) caps how many rows a block takes,
+counting a row-tap block's copy and its [k*Cout] GEMM result together,
 but a band holds at least two rows, so when two rows' operand is larger
 than the budget (wide images, float64) the block is too. A forward with
 or without fused epilogues runs this one plan, so its GEMMs see the same
@@ -110,27 +121,27 @@ def _pad_cm(x, p, slack=0):
     return buf
 
 
-def _patches(buf, k, hp, wp, n0, n1, r0, r1, width, stride=1):
-    """[C, k, k, n1-n0, r1-r0, width] view of a _pad_cm buffer of hp x wp
-    images: element (c, dy, dx, i, r, j) is padded pixel
-    (stride*(r0+r) + dy, stride*j + dx) of image n0+i in channel c."""
+def _patches(buf, k, hp, wp, n0, n1, r0, r1, width, stride=1, taps=None):
+    """[C, k, taps, n1-n0, r1-r0, width] view of a _pad_cm buffer of hp x wp
+    images (taps defaults to k): element (c, dy, dx, i, r, j) is padded
+    pixel (stride*(r0+r) + dy, stride*j + dx) of image n0+i in channel c."""
     s0, s = buf.strides
     return as_strided(buf[:, (n0 * hp + stride * r0) * wp :],
-                      shape=(buf.shape[0], k, k, n1 - n0, r1 - r0, width),
+                      shape=(buf.shape[0], k, taps or k, n1 - n0, r1 - r0, width),
                       strides=(s0, wp * s, s, hp * wp * s, stride * wp * s, stride * s),
                       writeable=False)
 
 
-def _row_blocks(n, h, row_bytes):
+def _row_blocks(n, h, row_bytes, fixed=0):
     """Split the (image, row) range of an [N,.,H,.] map into blocks of
-    as many rows as fit in _PATCH_BYTES at row_bytes each: runs of whole
-    images while one image fits, else bands of one image's rows, their
-    count rounded down to even but at least two, so every band is even but
-    an odd-height image's last. Yields (n0, n1, r0, r1); the blocks tile
-    the flattened (n, h) index in order, so each is one column range of a
-    [C, N*H*W] matrix, and no 2x2 pooling window straddles two blocks.
-    The first block is the largest."""
-    rows = _PATCH_BYTES // row_bytes
+    as many rows as fit in _PATCH_BYTES, less `fixed` bytes per block, at
+    row_bytes each: runs of whole images while one image fits, else bands
+    of one image's rows, their count rounded down to even but at least
+    two, so every band is even but an odd-height image's last. Yields
+    (n0, n1, r0, r1); the blocks tile the flattened (n, h) index in
+    order, so each is one column range of a [C, N*H*W] matrix, and no 2x2
+    pooling window straddles two blocks. The first block is the largest."""
+    rows = (_PATCH_BYTES - fixed) // row_bytes
     if rows >= h:
         step = rows // h
         for n0 in range(0, n, step):
@@ -142,36 +153,49 @@ def _row_blocks(n, h, row_bytes):
                 yield i, i + 1, r0, min(h, r0 + rows)
 
 
-def _patch_blocks(x, k, width):
+def _patch_blocks(x, k, width, taps=None, out_rows=0):
     """Patch matrices of the "same" conv of x [N,C,H,W] with an odd
     kernel k, block by block: yields (n0, n1, r0, r1, cols) for the
     _row_blocks of patch rows `width` (W or W+k-1) columns wide, cols the
-    block's [C*k*k, (n1-n0)*(r1-r0)*width] patch matrix copied from x's
-    _pad_cm buffer into one buffer that the next block overwrites. For
-    k == 1 the one block is x itself in channel-major order (a view, not
-    a copy, when x came from another conv)."""
+    block's patch matrix copied from x's _pad_cm buffer into one buffer
+    that the next block overwrites. A block spans L = (n1-n0)*(r1-r0)*width
+    columns, and cols holds taps (c, dy, dx) for the first `taps` column
+    taps dx: taps=k (the default) is the full [C*k*k, L] matrix; taps=1
+    is the [C*k, L+k-1] row taps, each followed by the k-1 elements after
+    it in the padded buffer, so that views of it shifted by dx < k stay
+    in bounds. A block's copy fits in _PATCH_BYTES together with out_rows
+    GEMM result rows of as many columns. For k == 1 the one block is x
+    itself in channel-major order (a view, not a copy, when x came from
+    another conv)."""
     n, c, h, wd = x.shape
     if k == 1:
         yield 0, n, 0, h, x.transpose(1, 0, 2, 3).reshape(c, -1)
         return
-    wp = wd + k - 1
+    taps = taps or k
+    tail = k - 1 if taps == 1 else 0
+    hp, wp = h + k - 1, wd + k - 1
     xp = _pad_cm(x, (k - 1) // 2, slack=k - 1)
-    ckk = c * k * k
-    blocks = list(_row_blocks(n, h, ckk * width * x.itemsize))
+    rows = c * k * taps
+    col_bytes = (rows + out_rows) * x.itemsize
+    blocks = list(_row_blocks(n, h, col_bytes * width, col_bytes * tail))
     n0, n1, r0, r1 = blocks[0]
-    buf = np.empty(ckk * (n1 - n0) * (r1 - r0) * width, dtype=x.dtype)
+    buf = np.empty(rows * ((n1 - n0) * (r1 - r0) * width + tail), dtype=x.dtype)
     for n0, n1, r0, r1 in blocks:
-        view = _patches(xp, k, h + k - 1, wp, n0, n1, r0, r1, width)
-        cols = buf[: view.size].reshape(view.shape)
-        np.copyto(cols, view)
-        yield n0, n1, r0, r1, cols.reshape(ckk, -1)
+        m = (n1 - n0) * (r1 - r0) * width
+        cols = buf[: rows * (m + tail)].reshape(c, k, taps, m + tail)
+        view = _patches(xp, k, hp, wp, n0, n1, r0, r1, width, taps=taps)
+        np.copyto(cols[..., :m].reshape(view.shape), view)
+        if tail:
+            np.copyto(cols[..., m:],
+                      _patches(xp, k, hp, wp, n1 - 1, n1, r1, r1 + 1, tail, taps=1)[..., 0, 0, :])
+        yield n0, n1, r0, r1, cols.reshape(rows, -1)
 
 
 def conv2d(x, w, b, relu=False, pool=False):
     """Stride-1 same-padding convolution. x: [N,Cin,H,W], w: [Cout,Cin,k,k].
 
     relu=True applies max(y, 0) to each output block after its bias add,
-    so the result equals relu(conv2d(x, w, b)) bit for bit. pool=True
+    so the result equals max(conv2d(x, w, b), 0) bit for bit. pool=True
     2x2 max-pools each block before its bias add, a trailing odd row or
     column alone, and returns [N,Cout,ceil(H/2),ceil(W/2)]; with relu it
     equals maxpool2 of the zero-padded relu output bit for bit."""
@@ -195,14 +219,23 @@ def _conv2d(x, w, b, relu, y, pool=False, head=None):
     is applied to each block after its bias and relu, and y holds its one
     channel. A private name, so that the calls from the deconv and from
     conv2d_backward do not go through a wrapper installed on conv2d."""
-    k = w.shape[2]
+    cout, c, k = w.shape[:3]
     wd = x.shape[3]
     lead = y.shape[:-4] + (-1,)
-    w2 = w.reshape(w.shape[0], -1)
+    # with C >= k a block holds only the k row taps of each channel, row
+    # (dx, o) of the re-laid kernel gives output o's column tap dx, and
+    # that [k*Cout] GEMM result shares the block budget; full patch rows
+    # budget their copy alone
+    taps = k if c < k else 1
+    w2 = (w if taps == k else w.transpose(3, 0, 1, 2)).reshape(k // taps * cout, -1)
     bias = b.reshape(lead + (1, 1, 1))
     wp = wd + k - 1
-    for n0, n1, r0, r1, cols in _patch_blocks(x, k, wp):
-        out = _head(cols, w2[0])[None] if len(w2) == 1 else w2 @ cols
+    for n0, n1, r0, r1, cols in _patch_blocks(x, k, wp, taps, len(w2) if taps == 1 else 0):
+        g = _head(cols, w2[0])[None] if len(w2) == 1 else w2 @ cols
+        m = (n1 - n0) * (r1 - r0) * wp
+        out = g[:cout, :m]
+        for dx in range(1, k // taps):
+            out += g[dx * cout : (dx + 1) * cout, dx : dx + m]
         out = out.reshape(lead + (n1 - n0, r1 - r0, wp))[..., :wd]
         if pool:
             out = _pool2(out)
@@ -214,7 +247,7 @@ def _conv2d(x, w, b, relu, y, pool=False, head=None):
         if head:
             np.add(_head(np.moveaxis(yb, -4, 0), head[0].ravel()), head[1],
                    out=y[..., 0, n0:n1, r0:r1, :])
-        del out, yb  # before the next block's GEMM allocates its own
+        del g, out, yb  # before the next block's GEMM allocates its own
 
 
 def _head(x, w):
@@ -370,10 +403,6 @@ def fully_connected(x, w, b, relu=False):
 
 def fully_connected_backward(gy, x, w, input_grad=True):
     return (gy @ w.T if input_grad else None), x.T @ gy, gy.sum(axis=0)
-
-
-def relu(x):
-    return np.maximum(x, 0)
 
 
 def relu_backward(gy, x):

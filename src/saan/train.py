@@ -172,9 +172,9 @@ def _run_phase(params, samples, bins, config, arch, phase, epochs, log, gsa_enab
                                            config.lambda_g, config.lambda_l)
             step += 1
             _check_finite_report(report, phase, step)
-            grads = model_backward(grads_out, out, params)
-            adam_step(params, grads, opt, config.learning_rate,
-                      config.beta1, config.beta2, config.epsilon)
+            adam_step(params, model_backward(grads_out, out, params), opt,
+                      config.learning_rate, config.beta1, config.beta2, config.epsilon)
+            del out  # the next step's forward must not run beside these caches
             if log is not None:
                 log({
                     "phase": phase,

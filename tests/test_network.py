@@ -9,7 +9,7 @@ from saan import layers, network, ops, params
 from saan.errors import CodecError, InventoryError, SaanError, ShapeError
 from saan.network import Arch
 
-from oracles import naive_attention_weight
+from oracles import conv_block_bytes, naive_attention_weight
 
 
 @pytest.fixture
@@ -206,11 +206,15 @@ class TestModelForward:
 
     def test_bitwise_size_runs_several_blocks(self):
         # 155x203 pads to 156x204: the default mfe.branch1.conv0 (one
-        # channel, k 9) and fn.deconv1 (16 channels, 3x3 over 78x102) each
-        # run more than one block, and gsa.pool2 pools a 39x51 map
-        assert len(list(ops._row_blocks(1, 156, 81 * 212 * 4))) > 1
-        assert len(list(ops._row_blocks(1, 78, 16 * 9 * 104 * 4))) > 1
-        assert Arch.default().fn_deconvs[-1] == 16
+        # channel, k 9, full patch rows), mfe.branch1.conv1 (16 channels,
+        # k 7 over 78x102, row taps only) and fn.deconv1 (16 channels, a
+        # 3x3 conv with 4 * 16 outputs over 78x102, row taps only) each run
+        # more than one block, and gsa.pool2 pools a 39x51 map
+        d = Arch.default()
+        assert d.mfe_branches[0][:2] == ((9, 16), (7, 20)) and d.fn_deconvs[-1] == 16
+        assert len(list(ops._row_blocks(1, 156, *conv_block_bytes(1, 16, 9, 212, 4)))) > 1
+        assert len(list(ops._row_blocks(1, 78, *conv_block_bytes(16, 20, 7, 108, 4)))) > 1
+        assert len(list(ops._row_blocks(1, 78, *conv_block_bytes(16, 64, 3, 104, 4)))) > 1
 
     def test_cache_free_peak_memory_at_384x512(self, rng, full):
         # no full-resolution activation is written: the pools run in the
@@ -297,7 +301,7 @@ class TestModelBackward:
                 pre = op(x_, w, b)
                 if not relu:
                     return pre
-                y = ops.relu(pre)
+                y = np.maximum(pre, 0)
                 pre_of[id(y)] = pre
                 return y
             return run

@@ -1,6 +1,8 @@
 """Tests for the dense-tensor ops: forward semantics against brute-force
 oracles and analytic gradients against central finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from saan.errors import ShapeError
 from saan.gradcheck import grad_check
 
 from oracles import (
+    conv_block_bytes,
     dyadic,
     naive_attention_weight,
     naive_box_sum,
@@ -24,6 +27,20 @@ from oracles import (
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def _spy_blocks(monkeypatch):
+    """Record the patch matrix shape of every block a conv runs."""
+    shapes = []
+    real = ops._patch_blocks
+
+    def spy(*args, **kwargs):
+        for block in real(*args, **kwargs):
+            shapes.append(block[4].shape)
+            yield block
+
+    monkeypatch.setattr(ops, "_patch_blocks", spy)
+    return shapes
 
 
 class TestConv2d:
@@ -73,13 +90,13 @@ class TestConv2d:
         # a budget of `pairs` pairs of patch rows, each as wide as the
         # padded odd width: two-row bands of one image's 13 rows, six-row
         # bands with a one-row last band, one image per block, or the whole
-        # batch at once (k == 1 never blocks)
+        # batch at once (k == 1 never blocks; k == 3 copies row taps only)
         x = dyadic(rng, (2, 3, 13, 5))
         w = dyadic(rng, (2, 3, k, k))
         b = dyadic(rng, 2)
-        row_bytes = 3 * k * k * (5 + k - 1) * x.itemsize
-        monkeypatch.setattr(ops, "_PATCH_BYTES", 2 * pairs * row_bytes)
-        assert len(list(ops._row_blocks(2, 13, row_bytes))) == blocks
+        row_bytes, fixed = conv_block_bytes(3, 2, k, 5 + k - 1, x.itemsize)
+        monkeypatch.setattr(ops, "_PATCH_BYTES", 2 * pairs * row_bytes + fixed)
+        assert len(list(ops._row_blocks(2, 13, row_bytes, fixed))) == blocks
         np.testing.assert_array_equal(ops.conv2d(x, w, b), naive_conv2d(x, w, b))
 
     def test_blocks_hold_even_rows(self, monkeypatch):
@@ -91,6 +108,10 @@ class TestConv2d:
         assert list(ops._row_blocks(2, 7, 1)) == [(0, 1, 0, 4), (0, 1, 4, 7),
                                                   (1, 2, 0, 4), (1, 2, 4, 7)]
         assert list(ops._row_blocks(3, 2, 1)) == [(0, 2, 0, 2), (2, 3, 0, 2)]
+        # bytes fixed per block (the row-tap copy's tail) come off the budget
+        monkeypatch.setattr(ops, "_PATCH_BYTES", 9)
+        assert list(ops._row_blocks(1, 8, 1, 3)) == [(0, 1, 0, 6), (0, 1, 6, 8)]
+        assert list(ops._row_blocks(1, 8, 1, 4)) == [(0, 1, 0, 4), (0, 1, 4, 8)]
 
     @pytest.mark.parametrize("k", [1, 3, 7])
     def test_fused_relu_matches_unfused(self, rng, monkeypatch, k):
@@ -99,12 +120,12 @@ class TestConv2d:
         x = dyadic(rng, (2, 3, 7, 5))
         w = dyadic(rng, (2, 3, k, k))
         b = dyadic(rng, 2)
-        row_bytes = 3 * k * k * (5 + k - 1) * x.itemsize
-        monkeypatch.setattr(ops, "_PATCH_BYTES", 2 * row_bytes)
-        assert len(list(ops._row_blocks(2, 7, row_bytes))) == 8
+        row_bytes, fixed = conv_block_bytes(3, 2, k, 5 + k - 1, x.itemsize)
+        monkeypatch.setattr(ops, "_PATCH_BYTES", 2 * row_bytes + fixed)
+        assert len(list(ops._row_blocks(2, 7, row_bytes, fixed))) == 8
         fused = ops.conv2d(x, w, b, relu=True)
-        np.testing.assert_array_equal(fused, ops.relu(ops.conv2d(x, w, b)))
-        np.testing.assert_array_equal(fused, ops.relu(naive_conv2d(x, w, b)))
+        np.testing.assert_array_equal(fused, np.maximum(ops.conv2d(x, w, b), 0))
+        np.testing.assert_array_equal(fused, np.maximum(naive_conv2d(x, w, b), 0))
 
     @pytest.mark.parametrize("k", [1, 3, 7])
     @pytest.mark.parametrize("hw", [(8, 6), (7, 5), (13, 1), (1, 4)])
@@ -117,9 +138,9 @@ class TestConv2d:
         x = dyadic(rng, (2, 3) + hw)
         w = dyadic(rng, (4, 3, k, k))
         b = dyadic(rng, 4)
-        row_bytes = 3 * k * k * (hw[1] + k - 1) * x.itemsize
-        monkeypatch.setattr(ops, "_PATCH_BYTES", rows * row_bytes)
-        want, _ = ops.maxpool2(layers._pad_to_even(ops.relu(naive_conv2d(x, w, b))))
+        row_bytes, fixed = conv_block_bytes(3, 4, k, hw[1] + k - 1, x.itemsize)
+        monkeypatch.setattr(ops, "_PATCH_BYTES", rows * row_bytes + fixed)
+        want, _ = ops.maxpool2(layers._pad_to_even(np.maximum(naive_conv2d(x, w, b), 0)))
         got = ops.conv2d(x, w, b, relu=True, pool=True)
         assert got.shape == want.shape
         np.testing.assert_array_equal(got, want)
@@ -137,6 +158,72 @@ class TestConv2d:
         assert len(list(ops._row_blocks(2, 13, row_bytes))) == blocks
         for got, want in zip(ops.conv2d_backward(gy, x, w), naive_conv2d_backward(gy, x, w)):
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    def test_row_taps_match_naive_oracle(self, rng, monkeypatch, k):
+        # cin = k: each block copies the k row taps of each channel, and
+        # the column taps are GEMM outputs summed shifted by dx. Budgets
+        # of 2 and 6 rows give bands of the 13-row images, the last one
+        # row; 13 and 26 rows give one image per block and the whole
+        # batch, where the views shifted past a row's end run over the seam
+        # between two images (and, after the last, into the tail) in
+        # cropped columns only
+        x = dyadic(rng, (2, k, 13, 5))
+        w = dyadic(rng, (k, k, k, k))
+        b = dyadic(rng, k)
+        gy = dyadic(rng, (2, k, 13, 5))
+        want = naive_conv2d(x, w, b)
+        pooled, _ = ops.maxpool2(layers._pad_to_even(np.maximum(want, 0)))
+        grads = naive_conv2d_backward(gy, x, w)
+        row_bytes, fixed = conv_block_bytes(k, k, k, 5 + k - 1, x.itemsize)
+        for rows, blocks in [(2, 14), (6, 6), (13, 2), (26, 1)]:
+            monkeypatch.setattr(ops, "_PATCH_BYTES", rows * row_bytes + fixed)
+            shapes = _spy_blocks(monkeypatch)
+            np.testing.assert_array_equal(ops.conv2d(x, w, b), want)
+            assert len(shapes) == blocks and {s[0] for s in shapes} == {k * k}
+            np.testing.assert_array_equal(ops.conv2d(x, w, b, relu=True, pool=True), pooled)
+            # one output channel: a [k, C*k] GEMM, shifted and summed
+            np.testing.assert_array_equal(ops.conv2d(x, w[:1], b[:1]), want[:, :1])
+            # the input gradient is the same layout's conv of gy's k channels
+            for got, ref in zip(ops.conv2d_backward(gy, x, w), grads):
+                np.testing.assert_array_equal(got, ref)
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("cin, k", [(1, 3), (1, 9), (4, 5)])
+    def test_few_channels_keep_full_patch_rows(self, rng, cin, k):
+        # cin < k (the one-channel image convs): a block is the full
+        # [cin*k*k] patch matrix over the padded width, so on float data
+        # the conv is one GEMM of the flattened kernel, bit for bit
+        h, wd, p = 12, 40, (k - 1) // 2
+        x = rng.standard_normal((1, cin, h, wd)).astype(np.float32)
+        w = rng.standard_normal((6, cin, k, k)).astype(np.float32)
+        b = rng.standard_normal(6).astype(np.float32)
+        wp = wd + k - 1
+        flat = np.pad(np.pad(x[0], ((0, 0), (p, p), (p, p))).reshape(cin, -1),
+                      ((0, 0), (0, k - 1)))
+        patches = np.stack([flat[c, dy * wp + dx : dy * wp + dx + h * wp]
+                            for c in range(cin) for dy in range(k) for dx in range(k)])
+        want = (w.reshape(6, -1) @ patches).reshape(6, h, wp)[:, :, :wd] + b[:, None, None]
+        assert ops.conv2d(x, w, b)[0].tobytes() == want.tobytes()
+
+    def test_one_conv_allocates_its_padded_input_output_and_blocks(self, rng):
+        # mfe.branch1.conv1 at 384x512 (16 -> 20 channels, k 7, over
+        # 192x256): the row-tap copy and its [7 * 20] GEMM result share
+        # _PATCH_BYTES, so a block adds at most that to the padded input
+        # and the output
+        x = rng.standard_normal((1, 16, 192, 256)).astype(np.float32)
+        w = rng.standard_normal((20, 16, 7, 7)).astype(np.float32)
+        b = np.zeros(20, dtype=np.float32)
+        padded = 16 * (198 * 262 + 6) * 4
+        output = 20 * 192 * 256 * 4
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ops.conv2d(x, w, b)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= padded + output + ops._PATCH_BYTES
 
     def test_one_output_sum_ignores_the_block_split(self, rng, monkeypatch):
         # float values, where a GEMM's rounding may depend on the split: a
@@ -163,9 +250,9 @@ class TestConv2d:
         x = dyadic(rng, (2, 3, 7, 5))
         w = dyadic(rng, (2, 3, k, k))
         gy = dyadic(rng, (2, 2, 7, 5))
-        row_bytes = 2 * k * k * (5 + k - 1) * gy.itemsize
-        monkeypatch.setattr(ops, "_PATCH_BYTES", rows * row_bytes)
-        assert len(list(ops._row_blocks(2, 7, row_bytes))) == blocks
+        row_bytes, fixed = conv_block_bytes(2, 3, k, 5 + k - 1, gy.itemsize)
+        monkeypatch.setattr(ops, "_PATCH_BYTES", rows * row_bytes + fixed)
+        assert len(list(ops._row_blocks(2, 7, row_bytes, fixed))) == blocks
         for got, want in zip(ops.conv2d_backward(gy, x, w), naive_conv2d_backward(gy, x, w)):
             np.testing.assert_array_equal(got, want)
 
@@ -259,21 +346,24 @@ class TestConv2dTranspose:
 
     @pytest.mark.parametrize("pairs, blocks", [(1, 10), (2, 6), (5, 2), (10, 1)])
     def test_blocked_matches_naive_oracle(self, rng, monkeypatch, pairs, blocks):
-        # the sub-pixel conv's patch rows: Cin * 3 * 3 taps over the padded
-        # width; each block writes its rows of all four output phases, with
-        # and without the fused relu, and with the fused 1x1 head
+        # the sub-pixel conv's patch rows: Cin = 3 >= k = 3, so each block
+        # copies the 3 row taps per channel over the padded width and sums
+        # the column taps of a [3 * 4 * Cout] GEMM result; each block
+        # writes its rows of all four output phases, with and without the
+        # fused relu, and with the fused 1x1 head
         x = dyadic(rng, (2, 3, 9, 3))
         w = dyadic(rng, (3, 2, 4, 4))
         b = dyadic(rng, 2)
         w1, b1 = dyadic(rng, (1, 2, 1, 1)), dyadic(rng, 1)
-        row_bytes = 3 * 9 * (3 + 2) * x.itemsize
-        monkeypatch.setattr(ops, "_PATCH_BYTES", 2 * pairs * row_bytes)
-        assert len(list(ops._row_blocks(2, 9, row_bytes))) == blocks
+        row_bytes, fixed = conv_block_bytes(3, 4 * 2, 3, 3 + 2, x.itemsize)
+        monkeypatch.setattr(ops, "_PATCH_BYTES", 2 * pairs * row_bytes + fixed)
+        assert len(list(ops._row_blocks(2, 9, row_bytes, fixed))) == blocks
         want = naive_conv2d_transpose(x, w, b)
+        relu_want = np.maximum(want, 0)
         np.testing.assert_array_equal(ops.conv2d_transpose(x, w, b), want)
-        np.testing.assert_array_equal(ops.conv2d_transpose(x, w, b, relu=True), ops.relu(want))
+        np.testing.assert_array_equal(ops.conv2d_transpose(x, w, b, relu=True), relu_want)
         headed = ops.conv2d_transpose(x, w, b, relu=True, head=(w1, b1))
-        np.testing.assert_array_equal(headed, naive_conv2d(ops.relu(want), w1, b1))
+        np.testing.assert_array_equal(headed, naive_conv2d(relu_want, w1, b1))
 
     @pytest.mark.parametrize("input_grad", [True, False])
     def test_backward_matches_naive_oracle(self, rng, input_grad):
@@ -440,11 +530,14 @@ class TestFullyConnected:
 
 class TestActivations:
     def test_relu_values(self):
-        np.testing.assert_array_equal(ops.relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
+        # the relu is the weighted ops' epilogue: an identity map shows it
+        x = np.array([[-1.0, 0.0, 2.0]])
+        y = ops.fully_connected(x, np.eye(3), np.zeros(3), relu=True)
+        np.testing.assert_array_equal(y, [[0.0, 0.0, 2.0]])
 
     def test_relu_positive_identity(self, rng):
         x = rng.uniform(0.1, 1, (3, 4))
-        np.testing.assert_array_equal(ops.relu(x), x)
+        np.testing.assert_array_equal(ops.fully_connected(x, np.eye(4), np.zeros(4), relu=True), x)
 
     def test_relu_gradients_away_from_zero(self, rng):
         x = rng.uniform(-1, 1, (4, 4))
@@ -452,7 +545,7 @@ class TestActivations:
         r = rng.uniform(-1, 1, (4, 4))
 
         def f(x_):
-            return float((ops.relu(x_) * r).sum()), [ops.relu_backward(r, x_)]
+            return float((np.maximum(x_, 0) * r).sum()), [ops.relu_backward(r, x_)]
 
         assert grad_check(f, [x], h=1e-3) < 1e-4
 

@@ -1,6 +1,7 @@
 """Tests for the Adam optimizer, the two-phase trainer, and evaluation."""
 
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -247,6 +248,24 @@ class TestSchedule:
         expected = train.train_phase2(p1, manifest, cfg, root, arch=arch)
         got = train.train(*train.load_training_set(manifest, root), cfg, arch)
         assert params_equal(got, expected)
+
+    def test_each_forward_runs_without_the_last_steps_caches(self, dataset, monkeypatch):
+        # a step's forward outputs, training caches and all, are freed
+        # before the next step's forward allocates its own
+        manifest, root = dataset
+        cfg = tiny_config(root, phase1_epochs=2, phase2_epochs=1)
+        live = []
+        real = train.model_forward
+
+        def forward(*args, **kwargs):
+            assert all(ref() is None for ref in live)
+            out = real(*args, **kwargs)
+            live.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(train, "model_forward", forward)
+        train.train(*train.load_training_set(manifest, root), cfg, Arch.tiny())
+        assert len(live) == 6  # 3 epochs of two batches
 
     def test_on_phase_end_sees_phase1_params(self, dataset):
         manifest, root = dataset
