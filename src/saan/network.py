@@ -166,14 +166,9 @@ def model_forward(image, params, arch=None, lsa_enabled=True, gsa_enabled=True,
         raise ShapeError(f"input too small: padded size {hp}x{wp}, need >= 8")
     specs = {prefix: spec for prefix, spec, _ in arch.subnets()}
 
-    feats = []
-    branch_caches = []
-    for i in range(1, 4):
-        prefix = f"mfe.branch{i}"
-        f, c = seq_forward(xp, params, prefix, specs[prefix], keep_caches)
-        feats.append(f)
-        branch_caches.append(c)
-
+    # GSA and LSA first: LSA's full-resolution maps are the forward's
+    # largest, and run before the MFE features exist they never sit
+    # beside them (the subnets share no state, so no bit moves)
     if gsa_enabled:
         global_logits, gsa_cache = seq_forward(xp, params, "gsa", specs["gsa"], keep_caches)
         g = ops.softmax(global_logits)
@@ -181,13 +176,20 @@ def model_forward(image, params, arch=None, lsa_enabled=True, gsa_enabled=True,
         global_logits, gsa_cache = None, None
         g = np.ones((n, 3), dtype=image.dtype)
 
-    h4, w4 = feats[0].shape[2], feats[0].shape[3]
     if lsa_enabled:
         local_logits, lsa_cache = seq_forward(xp, params, "lsa", specs["lsa"], keep_caches)
         l = ops.sigmoid(local_logits)
     else:
         local_logits, lsa_cache = None, None
-        l = np.ones((n, 3, h4, w4), dtype=image.dtype)
+        l = np.ones((n, 3, hp // 4, wp // 4), dtype=image.dtype)
+
+    feats = []
+    branch_caches = []
+    for i in range(1, 4):
+        prefix = f"mfe.branch{i}"
+        f, c = seq_forward(xp, params, prefix, specs[prefix], keep_caches)
+        feats.append(f)
+        branch_caches.append(c)
 
     # passed on unnamed, so the FN stack holds the only reference to its
     # input and frees it after its first layer when it keeps no caches

@@ -24,17 +24,19 @@ the bias add while each output block is still in cache, so an
 activation is written once; the result equals max(y, 0) of the plain
 op bit for bit.
 
-A patch matrix is a strided copy. The input is copied once into a
-zero-padded channel-major buffer, each channel flattened, so tap
-(dy, dx) of padded pixel (n, r, c) sits at a fixed offset from it and
-every patch matrix is an as_strided view of that buffer. The forward's
-view spans all Wp = W + 2p padded columns of each row, so tap (dy, dx)
-is the plain offset dy*Wp + dx and the GEMM output is cropped back to W
-columns on its way into the output. A conv with C >= k input channels
-copies only the k row taps of each channel (the MEC lowering, Cho &
-Brand 2017): row (c, dy) of a band is one run of the buffer, plus the
-k-1 elements after it (k-1 zeros of slack end the buffer), a [C*k,
-L+k-1] matrix with k times fewer rows than im2col's. One GEMM with the
+A patch matrix is a strided copy. Each block's rows of the input, and
+the k-1 rows around them that its taps reach, are copied into a
+zero-padded channel-major slab, each channel flattened, so tap (dy, dx)
+of padded pixel (n, r, c) sits at a fixed offset from it and the
+block's patch matrix is an as_strided view of that slab; no padded
+copy of the whole input is made. The forward's view spans all
+Wp = W + 2p padded columns of each row, so tap (dy, dx) is the plain
+offset dy*Wp + dx and the GEMM output is cropped back to W columns on
+its way into the output. A conv with C >= k input channels copies
+only the k row taps of each channel (the MEC lowering, Cho & Brand
+2017): row (c, dy) of a band is one run of the slab, plus the k-1
+elements after it (k-1 zeros of slack end the slab), a [C*k, L+k-1]
+matrix with k times fewer rows than im2col's. One GEMM with the
 kernel re-laid as [k*Cout, C*k], dx-major, gives every column tap's
 partial sums, and output column j adds rows dx*Cout.. of column j+dx
 for dx in order (kn2row, Vasudevan, Anderson & Gregg 2017). A shift
@@ -57,9 +59,9 @@ Convolutions work in blocks, each whole images or a band of one image's
 rows, and every band holds an even number of rows except an odd-height
 image's last, so no 2x2 pooling window straddles two blocks. conv2d and
 its backward copy each block's patch matrix into one buffer reused for
-every block, so a conv's patch memory is one padded copy of its input
-plus a block; the backward sums the weight gradient over the blocks of
-x, then runs the input gradient's conv over the blocks of gy.
+every block, so a conv's patch memory is a block and its slab; the
+backward sums the weight gradient over the blocks of x, then runs the
+input gradient's conv over the blocks of gy.
 _PATCH_BYTES (about an L2 cache) caps how many rows a block takes,
 counting a row-tap block's copy and its [k*Cout] GEMM result together,
 but a band holds at least two rows, so when two rows' operand is larger
@@ -110,14 +112,18 @@ def _check_conv_args(x, w, b, weight_layout):
         raise ShapeError(f"kernel must be square, got {w.shape[2]}x{w.shape[3]}")
 
 
-def _pad_cm(x, p, slack=0):
-    """[N,C,H,W] -> [C, N*(H+2p)*(W+2p) + slack]: each channel zero-padded
-    by p on every side and flattened, then `slack` zeros."""
+def _pad_cm(x, p, slack=0, r0=0, r1=None):
+    """[N,C,H,W] -> [C, N*(r1-r0+2p)*(W+2p) + slack]: rows r0-p to r1+p
+    of each channel (r0=0, r1=H: all of them), zero where they fall
+    outside x and p zero columns on each side, flattened, then `slack`
+    zeros."""
     n, c, h, wd = x.shape
-    hp, wp = h + 2 * p, wd + 2 * p
+    r1 = h if r1 is None else r1
+    hp, wp = r1 - r0 + 2 * p, wd + 2 * p
     buf = np.zeros((c, n * hp * wp + slack), dtype=x.dtype)
     grid = buf[:, : n * hp * wp].reshape(c, n, hp, wp)
-    grid[:, :, p : p + h, p : p + wd] = x.transpose(1, 0, 2, 3)
+    a, z = max(r0 - p, 0), min(r1 + p, h)
+    grid[:, :, a - r0 + p : z - r0 + p, p : p + wd] = x[:, :, a:z].transpose(1, 0, 2, 3)
     return buf
 
 
@@ -157,37 +163,41 @@ def _patch_blocks(x, k, width, taps=None, out_rows=0):
     """Patch matrices of the "same" conv of x [N,C,H,W] with an odd
     kernel k, block by block: yields (n0, n1, r0, r1, cols) for the
     _row_blocks of patch rows `width` (W or W+k-1) columns wide, cols the
-    block's patch matrix copied from x's _pad_cm buffer into one buffer
-    that the next block overwrites. A block spans L = (n1-n0)*(r1-r0)*width
-    columns, and cols holds taps (c, dy, dx) for the first `taps` column
-    taps dx: taps=k (the default) is the full [C*k*k, L] matrix; taps=1
-    is the [C*k, L+k-1] row taps, each followed by the k-1 elements after
-    it in the padded buffer, so that views of it shifted by dx < k stay
-    in bounds. A block's copy fits in _PATCH_BYTES together with out_rows
-    GEMM result rows of as many columns. For k == 1 the one block is x
-    itself in channel-major order (a view, not a copy, when x came from
-    another conv)."""
+    block's patch matrix copied from a _pad_cm slab of the r1-r0+k-1
+    padded rows it reads into one buffer that the next block overwrites.
+    A block spans L = (n1-n0)*(r1-r0)*width columns, and cols holds taps
+    (c, dy, dx) for the first `taps` column taps dx: taps=k (the default)
+    is the full [C*k*k, L] matrix; taps=1 is the [C*k, L+k-1] row taps,
+    each followed by the k-1 elements after it in the slab, so that views
+    of it shifted by dx < k stay in bounds. A block's copy fits in
+    _PATCH_BYTES together with out_rows GEMM result rows of as many
+    columns. For k == 1 the one block is x itself in channel-major order
+    (a view, not a copy, when x came from another conv)."""
     n, c, h, wd = x.shape
     if k == 1:
         yield 0, n, 0, h, x.transpose(1, 0, 2, 3).reshape(c, -1)
         return
     taps = taps or k
     tail = k - 1 if taps == 1 else 0
-    hp, wp = h + k - 1, wd + k - 1
-    xp = _pad_cm(x, (k - 1) // 2, slack=k - 1)
+    wp = wd + k - 1
     rows = c * k * taps
     col_bytes = (rows + out_rows) * x.itemsize
     blocks = list(_row_blocks(n, h, col_bytes * width, col_bytes * tail))
     n0, n1, r0, r1 = blocks[0]
     buf = np.empty(rows * ((n1 - n0) * (r1 - r0) * width + tail), dtype=x.dtype)
     for n0, n1, r0, r1 in blocks:
-        m = (n1 - n0) * (r1 - r0) * width
+        nb, rb = n1 - n0, r1 - r0
+        m = nb * rb * width
         cols = buf[: rows * (m + tail)].reshape(c, k, taps, m + tail)
-        view = _patches(xp, k, hp, wp, n0, n1, r0, r1, width, taps=taps)
+        # k-1 zeros of slack: the last column taps of full patch rows
+        # over the padded width, and a row-tap block's tail, read that far
+        # past the slab's last row (into cropped columns only)
+        slab = _pad_cm(x[n0:n1], (k - 1) // 2, k - 1, r0, r1)
+        view = _patches(slab, k, rb + k - 1, wp, 0, nb, 0, rb, width, taps=taps)
         np.copyto(cols[..., :m].reshape(view.shape), view)
         if tail:
-            np.copyto(cols[..., m:],
-                      _patches(xp, k, hp, wp, n1 - 1, n1, r1, r1 + 1, tail, taps=1)[..., 0, 0, :])
+            np.copyto(cols[..., m:], _patches(slab, k, rb + k - 1, wp, nb - 1, nb, rb, rb + 1,
+                                              tail, taps=1)[..., 0, 0, :])
         yield n0, n1, r0, r1, cols.reshape(rows, -1)
 
 
@@ -287,6 +297,7 @@ def conv2d_backward(gy, x, w, input_grad=True):
     for n0, n1, r0, r1, cols in _patch_blocks(x, k, wd):
         part = cols @ gy_cm[:, (n0 * h + r0) * wd : ((n1 - 1) * h + r1) * wd].T
         gw = part if gw is None else gw + part
+    del cols  # frees the last block's buffer before the input gradient's
     gw = gw.T.reshape(cout, cin, k, k)
     if not input_grad:
         return None, gw, gb

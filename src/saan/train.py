@@ -207,13 +207,19 @@ def require_splits(manifest, splits):
 def load_training_set(manifest, base_dir):
     """The train split's samples and the manifest's bins: `train`'s data.
     Refuses a train image under 8 pixels on a side, the network's least
-    input, so that every training crop is at least 8x8."""
+    input, so that every training crop is at least 8x8, and a density map
+    whose sum is not its annotation's dot count (to 1e-5 of max(1, dots)):
+    a map prepared from other or older dots would train on wrong labels."""
     require_splits(manifest, ["train"])
     samples = load_split(manifest, base_dir, "train")
     for item, s in zip(manifest.split_items("train"), samples):
         if min(s.image.shape[1:]) < 8:
             raise ManifestError(f"{item.image}: train image is {s.image.shape[1]}x"
                                 f"{s.image.shape[2]}; training needs at least 8x8")
+        total, dots = s.density.sum(), len(s.points)
+        if abs(total - dots) > 1e-5 * max(1, dots):
+            raise ManifestError(f"{item.image}: density map sums to {total:.6g} but {item.ann} "
+                                f"has {dots} dots; run prepare again")
     return samples, manifest.bins
 
 

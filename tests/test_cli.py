@@ -391,6 +391,25 @@ class TestTrain:
         assert item.image in err and "6x40" in err and "at least 8x8" in err
         assert not os.path.exists(out_dir)
 
+    def test_annotation_edited_after_prepare_exits_1(self, tmp_path, capsys):
+        # one dot added to a train annotation after prepare: its map,
+        # made from the old dots, sums to one less than the new count
+        assert run_synth(tmp_path, images=4) == 0
+        manifest_path = str(tmp_path / "manifest.json")
+        assert main(["prepare", "--manifest", manifest_path]) == 0
+        item = io_formats.load_manifest(manifest_path).split_items("train")[-1]
+        with open(tmp_path / item.ann, "a", encoding="utf-8") as fh:
+            fh.write("\n5,5\n")
+        config = tmp_path / "config.json"
+        out_dir = tmp_path / "out"
+        config.write_text(json.dumps({"manifest": manifest_path, "out_dir": str(out_dir),
+                                      "crop_size": 16}))
+        assert main(["train", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert item.image in err and item.ann in err and "run prepare again" in err
+        assert "Traceback" not in err
+        assert not os.path.exists(out_dir / "final.ck")
+
     @pytest.mark.parametrize("command", ["train", "ablate"])
     def test_reads_the_training_split_once(self, trained, tmp_path, monkeypatch, command):
         _, _, config_path, _ = trained

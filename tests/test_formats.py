@@ -144,6 +144,25 @@ class TestDensityCodec:
             io_formats.load_density(path)
         assert exc.value.offset == 16 + 4 * 6
 
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(data=st.data())
+    def test_mutated_maps_raise_only_codec_errors(self, tmp_path_factory, data):
+        # a loaded map is float32, finite, of the shape its header states,
+        # and (as ground truth) not negative; anything else is a CodecError
+        path = tmp_path_factory.getbasetemp() / "mutated.dm"
+        io_formats.save_density(path, SMALL_DM)
+        blob = data.draw(mutated_small_dm(path.read_bytes()))
+        path.write_bytes(blob)
+        for load in (io_formats.load_density, io_formats.load_ground_truth):
+            try:
+                back = load(path)
+            except CodecError:
+                continue
+            assert back.dtype == np.float32
+            assert back.shape == struct.unpack_from("<II", blob, 8)
+            assert np.isfinite(back).all()
+            assert load is io_formats.load_density or (back >= 0).all()
+
     def test_negative_value_is_refused_in_ground_truth_only(self, tmp_path):
         # a predicted map may hold negative values; a ground-truth one may not
         m = np.zeros((3, 4), dtype=np.float32)
@@ -158,6 +177,28 @@ class TestDensityCodec:
         m[m < 0] = 0.25
         io_formats.save_density(path, m)
         np.testing.assert_array_equal(io_formats.load_ground_truth(path), m)
+
+
+# a small valid ground-truth map; its header's height and width fields
+# sit at bytes 8 and 12
+SMALL_DM = (np.arange(12, dtype=np.float32) / 8).reshape(3, 4)
+
+
+@st.composite
+def mutated_small_dm(draw, blob):
+    """blob with its height and width fields overwritten (favouring values
+    that overflow or disagree with the payload) and up to four bits
+    flipped anywhere, magic included, then extended by a few bytes and
+    perhaps cut at a drawn length."""
+    out = bytearray(blob)
+    for off in draw(st.lists(st.sampled_from([8, 12]), max_size=2)):
+        value = draw(st.sampled_from([0, 1, 2, 3, 4, 6, 12, 0x10000, 0x7FFFFFFF, 0xFFFFFFFF])
+                     | st.integers(0, 0xFFFFFFFF))
+        out[off : off + 4] = value.to_bytes(4, "little")
+    for bit in draw(st.lists(st.integers(0, 8 * len(out) - 1), max_size=4)):
+        out[bit // 8] ^= 1 << bit % 8
+    out += draw(st.binary(max_size=8))
+    return bytes(out[: draw(st.none() | st.integers(0, len(out)))])
 
 
 class TestManifest:

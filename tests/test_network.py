@@ -218,7 +218,9 @@ class TestModelForward:
 
     def test_cache_free_peak_memory_at_384x512(self, rng, full):
         # no full-resolution activation is written: the pools run in the
-        # conv epilogues and the density head in fn.deconv1's
+        # conv epilogues and the density head in fn.deconv1's. LSA's
+        # first conv output (6 MiB) is the largest map, and it never sits
+        # beside the MFE features or a padded copy of itself
         arch, p = full
         x = rng.uniform(0, 1, (1, 1, 384, 512)).astype(np.float32)
         tracemalloc.start()
@@ -228,7 +230,7 @@ class TestModelForward:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < 20 * 2**20
+        assert peak < 12 * 2**20
 
 
 class TestModelBackward:

@@ -43,6 +43,22 @@ def _spy_blocks(monkeypatch):
     return shapes
 
 
+def _spy_patch_bounds(monkeypatch):
+    """Assert that every patch view an op takes lies inside its buffer:
+    as_strided checks no bounds, and a read past the end lands in cropped
+    columns, where no output shows it."""
+    real = ops._patches
+
+    def spy(buf, *args, **kwargs):
+        view = real(buf, *args, **kwargs)
+        lo, base = view.__array_interface__["data"][0], buf.__array_interface__["data"][0]
+        hi = lo + sum((d - 1) * s for d, s in zip(view.shape, view.strides)) + view.itemsize
+        assert base <= lo and hi <= base + buf.nbytes
+        return view
+
+    monkeypatch.setattr(ops, "_patches", spy)
+
+
 class TestConv2d:
     def test_ones_kernel_padding(self):
         x = np.ones((1, 1, 3, 3))
@@ -189,6 +205,36 @@ class TestConv2d:
                 np.testing.assert_array_equal(got, ref)
             monkeypatch.undo()
 
+    @pytest.mark.parametrize("k", [3, 5, 7, 9])
+    @pytest.mark.parametrize("cin", [1, 9])
+    @pytest.mark.parametrize("hw", [(7, 5), (2, 6), (1, 3)])
+    def test_slabs_match_naive_oracle(self, rng, monkeypatch, k, cin, hw):
+        # each block pads only the rows it reads: x's own rows at a band
+        # seam, zeros at an image's edge. A budget of 0 gives two-row
+        # bands (a first band, and a 7-row image's one-row last band) and
+        # the default whole images, three to a block. H 2 and 1 are
+        # shorter than p = (k-1)/2 for k >= 7 and 5, so every row a slab
+        # reads past them is padding. cin = 1 copies full patch rows,
+        # cin = 9 >= k the row taps; the backward pads x for the weight
+        # gradient and gy for the input gradient
+        x = dyadic(rng, (3, cin) + hw)
+        w = dyadic(rng, (2, cin, k, k))
+        b = dyadic(rng, 2)
+        gy = dyadic(rng, (3, 2) + hw)
+        want = naive_conv2d(x, w, b)
+        pooled, _ = ops.maxpool2(layers._pad_to_even(np.maximum(want, 0)))
+        grads = naive_conv2d_backward(gy, x, w)
+        for budget, blocks in [(0, 3 * ((hw[0] + 1) // 2)), (ops._PATCH_BYTES, 1)]:
+            monkeypatch.setattr(ops, "_PATCH_BYTES", budget)
+            shapes = _spy_blocks(monkeypatch)
+            _spy_patch_bounds(monkeypatch)
+            np.testing.assert_array_equal(ops.conv2d(x, w, b), want)
+            assert len(shapes) == blocks
+            np.testing.assert_array_equal(ops.conv2d(x, w, b, relu=True, pool=True), pooled)
+            for got, ref in zip(ops.conv2d_backward(gy, x, w), grads):
+                np.testing.assert_array_equal(got, ref)
+            monkeypatch.undo()
+
     @pytest.mark.parametrize("cin, k", [(1, 3), (1, 9), (4, 5)])
     def test_few_channels_keep_full_patch_rows(self, rng, cin, k):
         # cin < k (the one-channel image convs): a block is the full
@@ -206,15 +252,17 @@ class TestConv2d:
         want = (w.reshape(6, -1) @ patches).reshape(6, h, wp)[:, :, :wd] + b[:, None, None]
         assert ops.conv2d(x, w, b)[0].tobytes() == want.tobytes()
 
-    def test_one_conv_allocates_its_padded_input_output_and_blocks(self, rng):
+    def test_one_conv_allocates_its_output_and_blocks(self, rng):
         # mfe.branch1.conv1 at 384x512 (16 -> 20 channels, k 7, over
         # 192x256): the row-tap copy and its [7 * 20] GEMM result share
-        # _PATCH_BYTES, so a block adds at most that to the padded input
-        # and the output
+        # _PATCH_BYTES, and a block pads only the 6 + 6 rows it reads, so
+        # the output, the budget and one such slab bound the conv
         x = rng.standard_normal((1, 16, 192, 256)).astype(np.float32)
         w = rng.standard_normal((20, 16, 7, 7)).astype(np.float32)
         b = np.zeros(20, dtype=np.float32)
-        padded = 16 * (198 * 262 + 6) * 4
+        _, _, r0, r1 = next(ops._row_blocks(1, 192, *conv_block_bytes(16, 20, 7, 262, 4)))
+        assert r1 - r0 == 6
+        slab = 16 * ((r1 - r0 + 6) * 262 + 6) * 4
         output = 20 * 192 * 256 * 4
         tracemalloc.start()
         try:
@@ -223,7 +271,29 @@ class TestConv2d:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= padded + output + ops._PATCH_BYTES
+        assert peak <= output + ops._PATCH_BYTES + slab
+
+    def test_backward_pads_neither_x_nor_gy_whole(self, rng):
+        # lsa.conv1 at 384x512 (8 -> 8 channels, k 3): the weight
+        # gradient's blocks pad bands of x, the input gradient's bands of
+        # gy, and the first frees its blocks before the second starts, so
+        # gx, the budget and one 20-row band's slab of gy bound the call,
+        # 6 MiB under one padded copy of x or gy
+        x = rng.standard_normal((1, 8, 384, 512)).astype(np.float32)
+        w = rng.standard_normal((8, 8, 3, 3)).astype(np.float32)
+        gy = rng.standard_normal((1, 8, 384, 512)).astype(np.float32)
+        _, _, r0, r1 = next(ops._row_blocks(1, 384, *conv_block_bytes(8, 8, 3, 514, 4)))
+        assert r1 - r0 == 20
+        slab = 8 * ((r1 - r0 + 2) * 514 + 2) * 4
+        gx = 8 * 384 * 512 * 4
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ops.conv2d_backward(gy, x, w)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= gx + ops._PATCH_BYTES + slab
 
     def test_one_output_sum_ignores_the_block_split(self, rng, monkeypatch):
         # float values, where a GEMM's rounding may depend on the split: a
@@ -364,6 +434,25 @@ class TestConv2dTranspose:
         np.testing.assert_array_equal(ops.conv2d_transpose(x, w, b, relu=True), relu_want)
         headed = ops.conv2d_transpose(x, w, b, relu=True, head=(w1, b1))
         np.testing.assert_array_equal(headed, naive_conv2d(relu_want, w1, b1))
+
+    @pytest.mark.parametrize("hw", [(7, 5), (1, 3)])
+    def test_slabs_match_naive_oracle(self, rng, monkeypatch, hw):
+        # the sub-pixel 3x3 conv pads only each block's rows, as conv2d
+        # does: two-row bands with a one-row last band and a one-row
+        # image, then the default's whole batch in one block, with the
+        # fused 1x1 head
+        x = dyadic(rng, (2, 3) + hw)
+        w = dyadic(rng, (3, 2, 4, 4))
+        b = dyadic(rng, 2)
+        w1, b1 = dyadic(rng, (1, 2, 1, 1)), dyadic(rng, 1)
+        want = naive_conv2d(np.maximum(naive_conv2d_transpose(x, w, b), 0), w1, b1)
+        for budget, blocks in [(0, 2 * ((hw[0] + 1) // 2)), (ops._PATCH_BYTES, 1)]:
+            monkeypatch.setattr(ops, "_PATCH_BYTES", budget)
+            shapes = _spy_blocks(monkeypatch)
+            _spy_patch_bounds(monkeypatch)
+            np.testing.assert_array_equal(ops.conv2d_transpose(x, w, b, relu=True, head=(w1, b1)), want)
+            assert len(shapes) == blocks
+            monkeypatch.undo()
 
     @pytest.mark.parametrize("input_grad", [True, False])
     def test_backward_matches_naive_oracle(self, rng, input_grad):
