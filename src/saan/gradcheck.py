@@ -84,11 +84,10 @@ _OP_CASES = [
     # layout and every tap's strided add both show in the gradients
     ("conv2d_transpose", lambda rng: _uniform(rng, (2, 3, 3, 5), (3, 2, 4, 4), 2),
      ops.conv2d_transpose, lambda r, y, x, w, b: ops.conv2d_transpose_backward(r, x, w)),
-    # distinct values keep the argmax stable under the FD stencil
+    # distinct values keep each window's max stable under the FD stencil
     ("maxpool2",
      lambda rng: [rng.permutation(np.arange(64, dtype=np.float64) / 7.0).reshape(1, 1, 8, 8)],
-     lambda x: ops.maxpool2(x)[0],
-     lambda r, y, x: [ops.maxpool2_backward(r, ops.maxpool2(x)[1], x.shape)]),
+     ops.maxpool2, lambda r, y, x: [ops.maxpool2_backward(r, x, y)]),
     ("fully_connected", lambda rng: _uniform(rng, (3, 4), (4, 5), 5),
      ops.fully_connected, lambda r, y, x, w, b: ops.fully_connected_backward(r, x, w)),
     ("relu", _draw_relu_input, lambda x: np.maximum(x, 0),
@@ -142,14 +141,16 @@ def _check_loss(rng, draw, loss):
 
 
 def _activation_signature(out):
-    """Discrete state of a forward pass: every relu sign, every pool argmax.
+    """Discrete state of a forward pass: every relu sign, and the position
+    that each pool window's gradient goes to.
 
     Central differences are only valid where the model is smooth; a
     coordinate whose +-h perturbation changes this signature sits inside
     a relu kink or a pool tie and must be excluded, generalizing the
     single-op rule of skipping relu inputs at exactly 0. A weighted
     layer's cache entry[3] is its post-activation output, positive
-    exactly where the relu's input is.
+    exactly where the relu's input is; a pool's backward of ones, from
+    its cached input and pooled map, is 1 at each window's max.
     """
     sig = []
     cache = out.cache
@@ -163,7 +164,7 @@ def _activation_signature(out):
                 if entry[4] == "relu":
                     sig.append(entry[3] > 0)
             elif entry[0] == "pool":
-                sig.append(entry[4])
+                sig.append(ops.maxpool2_backward(np.ones_like(entry[3]), entry[2], entry[3]))
     return sig
 
 

@@ -107,13 +107,20 @@ def read_pgm(path):
             raise CodecError("pgm header truncated", offset=start)
         return buf[start:pos]
 
+    def number():
+        tok = token()
+        if not tok.isdigit():  # int() would take signs and underscores
+            raise CodecError(f"pgm header field {tok!r} is not decimal digits",
+                             offset=pos - len(tok))
+        try:
+            return int(tok)
+        except ValueError as exc:  # more digits than int() converts
+            raise CodecError(f"malformed pgm header: {exc}", offset=pos - len(tok))
+
     magic = token()
     if magic != b"P5":
         raise CodecError(f"not a binary pgm (magic {magic!r})", offset=0)
-    try:
-        width, height, maxval = int(token()), int(token()), int(token())
-    except ValueError as exc:
-        raise CodecError(f"malformed pgm header: {exc}", offset=pos)
+    width, height, maxval = number(), number(), number()
     if maxval != 255:
         raise CodecError(f"only 8-bit pgm supported, maxval {maxval}", offset=pos)
     if width <= 0 or height <= 0:

@@ -10,23 +10,23 @@ Sub-networks are declared as lists of layer specs:
 
 Parameters live in a flat name->array map under "<prefix>.<layer>.weight"
 / ".bias". A weighted layer's ReLU runs inside its op (relu=True), so
-each activation is written once. Pools auto-pad odd inputs with zeros on
-the bottom/right edge (the backward crops the gradient, so this is
-gradient-exact). The engine returns per-layer caches that the matching
-backward consumes: a weighted layer's entry holds its input and its
-post-activation output, the same array the next layer takes as input,
-and the ReLU backward masks on that output (y > 0 exactly where the
-pre-activation is). A stack that reads the image is walked back with
-input_grad=False, so its first layer computes no input gradient.
+each activation is written once. A pool must follow a relu conv: it
+pools a trailing odd row or column alone, which equals pooling the relu
+output zero-padded to even size. The engine returns per-layer caches
+that the matching backward consumes: a weighted layer's entry holds its
+input and its post-activation output, the same array the next layer
+takes as input, and the ReLU backward masks on that output (y > 0
+exactly where the pre-activation is); a pool's entry holds its input
+and its pooled map, from which the backward finds each window's max. A
+stack that reads the image is walked back with input_grad=False, so its
+first layer computes no input gradient.
 
 With keep_caches=False (inference) no cache is kept and None is returned
 for caches, and two layer pairs run as one op so that no full-resolution
 activation is written: a relu conv and the pool after it run as conv2d
-with pool=True, which pools each block in its epilogue (a trailing odd
-row or column pools alone, which equals pooling the zero-padded relu
-output), and a deconv and the linear one-output 1x1 conv after it run as
-conv2d_transpose with head=(w, b). Both give the bits of the
-layer-by-layer forward.
+with pool=True, which pools each block in its epilogue, and a deconv
+and the linear one-output 1x1 conv after it run as conv2d_transpose with
+head=(w, b). Both give the bits of the layer-by-layer forward.
 """
 
 import numpy as np
@@ -64,14 +64,6 @@ def spec_params(prefix, spec, in_channels):
     return out
 
 
-def _pad_to_even(x):
-    n, c, h, w = x.shape
-    ph, pw = h % 2, w % 2
-    if ph or pw:
-        x = np.pad(x, ((0, 0), (0, 0), (0, ph), (0, pw)))
-    return x
-
-
 def seq_forward(x, params, prefix, spec, keep_caches=True):
     """Run the stack; returns (output, caches) for seq_backward, or
     (output, None) when keep_caches is False."""
@@ -104,10 +96,11 @@ def seq_forward(x, params, prefix, spec, keep_caches=True):
                 caches.append((kind, base, x, y, act))
             x = y
         elif kind == "pool":
-            y, idx = ops.maxpool2(_pad_to_even(x))
+            if i == 0 or spec[i - 1][1] != "conv" or spec[i - 1][-1] != "relu":
+                raise ValueError(f"pool {base} must follow a relu conv")
+            y = ops.maxpool2(x)
             if keep_caches:
-                padded = y.shape[:2] + (2 * y.shape[2], 2 * y.shape[3])
-                caches.append((kind, base, x.shape, padded, idx))
+                caches.append((kind, base, x, y, None))
             x = y
         elif kind == "gap":
             if x.ndim != 4:
@@ -140,9 +133,8 @@ def seq_backward(gy, caches, params, input_grad=True):
             grads[f"{base}.weight"] = gw
             grads[f"{base}.bias"] = gb
         elif kind == "pool":
-            _, _, orig_shape, padded_shape, idx = cache
-            gx = ops.maxpool2_backward(gy, idx, padded_shape)
-            gy = gx[:, :, : orig_shape[2], : orig_shape[3]]
+            _, _, x_in, y, _ = cache
+            gy = ops.maxpool2_backward(gy, x_in, y)
         elif kind == "gap":
             _, _, in_shape, _, _ = cache
             n, c, h, w = in_shape

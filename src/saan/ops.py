@@ -77,10 +77,10 @@ conv2d_transpose applies the bias and relu to each GEMM block in place,
 then the one-output 1x1 conv by _head, and writes only its one channel.
 
 Max pooling takes the max of row pairs first, then of column pairs of
-that, so each input element is read once along its row; the backward
-and the forward's int8 offset of the first position that attains the
-max work on the four strided window views x[:, :, dy::2, dx::2], and
-the backward writes each view once.
+that, so each input element is read once along its row, and a trailing
+odd row or column pools alone; it keeps no argmax. Its backward finds
+each window's max again from the input and the pooled map, on the four
+strided window views x[:, :, dy::2, dx::2], and writes each view once.
 """
 
 import numpy as np
@@ -208,7 +208,7 @@ def conv2d(x, w, b, relu=False, pool=False):
     so the result equals max(conv2d(x, w, b), 0) bit for bit. pool=True
     2x2 max-pools each block before its bias add, a trailing odd row or
     column alone, and returns [N,Cout,ceil(H/2),ceil(W/2)]; with relu it
-    equals maxpool2 of the zero-padded relu output bit for bit."""
+    equals maxpool2 of the relu output bit for bit."""
     _check_conv_args(x, w, b, "oikk")
     k = w.shape[2]
     if k % 2 != 1:
@@ -364,37 +364,33 @@ def conv2d_transpose_backward(gy, x, w, input_grad=True):
 
 
 def maxpool2(x):
-    """2x2 max pooling with stride 2. Returns (pooled, argmax offsets).
-
-    Offsets are flat indices into each window in row-major (dy, dx) order;
-    ties resolve to the first position scanned. The max is taken over row
-    pairs first, then over column pairs of that (_pool2, the pool conv2d
-    fuses), so each input element is read once (a NaN anywhere in a window
-    gives NaN, and offset 3); the offsets compare the four strided window
-    views against it. This is the four-view max bit for bit, except that a
-    window tying +0 with -0 may return the other zero (np.maximum returns
-    its second operand on a tie; a relu output holds no -0).
-    """
+    """2x2 max pooling with stride 2, row pairs first, then column pairs of
+    that (_pool2, the pool conv2d fuses); a trailing odd row or column
+    pools alone, so [N,C,H,W] -> [N,C,ceil(H/2),ceil(W/2)]. A NaN anywhere
+    in a window gives NaN. On a relu output this equals the pool of its
+    zero padding to even size."""
     if x.ndim != 4:
         raise ShapeError(f"input must be 4-D [N,C,H,W], got rank {x.ndim}")
-    h, wd = x.shape[2:]
-    if h % 2 or wd % 2:
-        raise ShapeError(f"maxpool2 needs even H,W, got {h}x{wd}; pad the input first")
-    y = _pool2(x)
-    views = [x[:, :, dy::2, dx::2] for dy in (0, 1) for dx in (0, 1)]
-    idx = np.where(views[2] == y, np.int8(2), np.int8(3))
-    for k in (1, 0):
-        idx = np.where(views[k] == y, np.int8(k), idx)
-    return y, idx
+    return _pool2(x)
 
 
-def maxpool2_backward(gy, idx, in_shape):
-    """Routes the upstream gradient to the stored argmax positions: each
-    window view of the input gradient is written once, gy where the
-    offset names it and 0 elsewhere."""
-    gx = np.empty(in_shape, dtype=gy.dtype)
-    for k in range(4):
-        np.multiply(gy, idx == k, out=gx[:, :, k // 2 :: 2, k % 2 :: 2])
+def maxpool2_backward(gy, x, y):
+    """Gradient of y = maxpool2(x): each window's gy goes to the first of
+    its positions (0,0), (0,1), (1,0), (1,1) that holds y, and a window
+    with no such position (a NaN window) gives it to (1,1), or drops it
+    where (1,1) falls past an odd edge. Each window view of the input
+    gradient is written once; `free` marks the windows still unclaimed."""
+    gx = np.empty(x.shape, dtype=gy.dtype)
+    free = np.ones(y.shape, dtype=bool)
+    for dy in (0, 1):
+        for dx in (0, 1):
+            xv = x[:, :, dy::2, dx::2]
+            part = (..., slice(xv.shape[2]), slice(xv.shape[3]))
+            hit = free[part]
+            if not dy & dx:
+                hit = hit & (xv == y[part])
+                free[part] ^= hit
+            np.multiply(gy[part], hit, out=gx[:, :, dy::2, dx::2])
     return gx
 
 

@@ -277,6 +277,7 @@ def evaluate(params, manifest, base_dir, split, arch=None,
         out = model_forward(image, params, arch, lsa_enabled=lsa_enabled,
                             gsa_enabled=gsa_enabled, keep_caches=False)
         pred_count = float(count_from_density(out.density)[0])
+        del out  # the next image's forward must not run beside these outputs
         if not np.isfinite(pred_count):
             raise TrainingError(f"non-finite predicted count for {item.image}")
         records.append({

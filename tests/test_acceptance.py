@@ -20,6 +20,7 @@ from oracles import (
     naive_conv2d,
     naive_conv2d_transpose,
     naive_maxpool2,
+    naive_maxpool2_backward,
 )
 from saan import io_formats, ops
 from saan.cli import main as cli_main
@@ -211,10 +212,11 @@ def test_criterion_8_oracle_equivalence():
             ops.conv2d_transpose(x, wt, b), naive_conv2d_transpose(x, wt, b))
 
         xp = dyadic(rng, (n, cin, 2 * h, 2 * w))
-        y, idx = ops.maxpool2(xp)
-        ny, nidx = naive_maxpool2(xp)
-        np.testing.assert_array_equal(y, ny)
-        np.testing.assert_array_equal(idx, nidx)
+        y = ops.maxpool2(xp)
+        np.testing.assert_array_equal(y, naive_maxpool2(xp)[0])
+        gy = dyadic(rng, y.shape)
+        np.testing.assert_array_equal(ops.maxpool2_backward(gy, xp, y),
+                                      naive_maxpool2_backward(gy, xp))
 
         m = dyadic(rng, (int(rng.integers(1, 13)), int(rng.integers(1, 13))))
         r = int(rng.integers(1, 6))

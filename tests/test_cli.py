@@ -566,16 +566,67 @@ class TestPredict:
         assert "non-finite" in capsys.readouterr().err
 
 
+# a 384x512 cache-free density and one batch-4 64x64 step's gradients,
+# hashed, then `saan train --config argv[1]`
+_BITS_SCRIPT = """
+import hashlib, sys
+import numpy as np
+from saan import losses, network, params
+from saan.cli import main
+arch = network.Arch.default()
+p = params.init_params(arch, np.random.default_rng(5))
+rng = np.random.default_rng(6)
+x = rng.uniform(0, 1, (1, 1, 384, 512)).astype(np.float32)
+digest = hashlib.sha256(network.model_forward(x, p, arch, keep_caches=False).density.tobytes())
+x = rng.uniform(0, 1, (4, 1, 64, 64)).astype(np.float32)
+out = network.model_forward(x, p, arch)
+_, grads_out = losses.total_loss(out, np.full(x.shape, 0.01, np.float32), np.array([1, 2, 3, 1]),
+                                 rng.integers(1, 4, (4, 16, 16)), lambda_g=1.0, lambda_l=1.0)
+grads = network.model_backward(grads_out, out, p)
+for k in sorted(grads):
+    digest.update(grads[k].tobytes())
+print("bits", digest.hexdigest())
+sys.exit(main(["train", "--config", sys.argv[1]]))
+"""
+
+
+def saan_env(**extra):
+    """The environment of a subprocess that imports this checkout's saan,
+    with no BLAS thread variable of its own."""
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(saan.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(extra)
+    return env
+
+
 class TestThreadCap:
     def test_any_saan_import_applies_the_cap(self):
-        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
-        src = os.path.dirname(os.path.dirname(os.path.abspath(saan.__file__)))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        env["SAAN_THREADS"] = "1"
         code = "import saan.train, os; print(os.environ['OPENBLAS_NUM_THREADS'])"
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=60, check=True)
+        done = subprocess.run([sys.executable, "-c", code], env=saan_env(SAAN_THREADS="1"),
+                              capture_output=True, text=True, timeout=60, check=True)
         assert done.stdout.strip() == "1"
+
+    def test_bits_do_not_depend_on_the_thread_count(self, prepared, tmp_path):
+        # the acceptance mini config (12 scenes, 32x32, 1+1 epochs) and two
+        # forward/backward hashes, at one and two BLAS threads
+        _, manifest_path = prepared
+        results = []
+        for threads in ("1", "2"):
+            out_dir = tmp_path / f"run{threads}"
+            config = tmp_path / f"config{threads}.json"
+            config.write_text(json.dumps({
+                "manifest": manifest_path, "out_dir": str(out_dir), "seed": 5,
+                "phase1_epochs": 1, "phase2_epochs": 1, "learning_rate": 1e-3,
+                "crop_size": 32}))
+            done = subprocess.run([sys.executable, "-c", _BITS_SCRIPT, str(config)],
+                                  env=saan_env(SAAN_THREADS=threads), capture_output=True,
+                                  text=True, timeout=300, check=True)
+            bits = [ln for ln in done.stdout.splitlines() if ln.startswith("bits ")]
+            results.append((bits, (out_dir / "final.ck").read_bytes(),
+                            (out_dir / "train.log").read_bytes()))
+        assert len(results[0][0]) == 1
+        assert results[0] == results[1]
 
 
 class TestGradcheck:
@@ -663,6 +714,22 @@ class TestExitCodes:
         path.write_text('{"sigma": 4.0}')
         assert main(["train", "--config", str(path)]) == 1
         assert "unknown config keys: sigma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, path", [
+        ("predict", "--image", "dir"), ("predict", "--checkpoint", "dir"),
+        ("eval", "--checkpoint", "dir"), ("predict", "--image", "under_a_file"),
+    ], ids=["predict-image", "predict-checkpoint", "eval-checkpoint", "predict-image-under-a-file"])
+    def test_directory_for_a_file_exits_1(self, trained, tmp_path, capsys, command, flag, path):
+        # a malformed path is a validation error, as a missing file is
+        root, manifest_path, _, out_dir = trained
+        image = os.path.join(root, io_formats.load_manifest(manifest_path).items[0].image)
+        files = {"--image": image, "--checkpoint": os.path.join(out_dir, "final.ck")}
+        files[flag] = str(tmp_path) if path == "dir" else os.path.join(image, "x")
+        args = {"predict": ["--image", files["--image"], "--out", str(tmp_path / "p")],
+                "eval": ["--manifest", manifest_path]}[command]
+        assert main([command, "--checkpoint", files["--checkpoint"]] + args) == 1
+        err = capsys.readouterr().err
+        assert ("Is a directory" if path == "dir" else "Not a directory") in err
 
     @pytest.mark.parametrize("command", ["train", "ablate"])
     def test_negative_config_seed_exits_1(self, tmp_path, capsys, command):

@@ -63,10 +63,24 @@ class TestPgm:
 
     @pytest.mark.parametrize("dims", [b"-4 -4", b"0 3", b"3 0"])
     def test_non_positive_dimensions_report_offset(self, tmp_path, dims):
+        # a sign is not a decimal digit, so -4 is refused as a header field
         path = tmp_path / "g.pgm"
         path.write_bytes(b"P5\n" + dims + b"\n255\n" + bytes(16))
-        with pytest.raises(CodecError, match="dimensions must be positive.*offset"):
+        match = "not decimal digits" if dims.startswith(b"-") else "dimensions must be positive"
+        with pytest.raises(CodecError, match=match + ".*offset"):
             io_formats.read_pgm(path)
+
+    @pytest.mark.parametrize("header, offset", [
+        (b"P5 1_0 1_0 255\n", 3), (b"P5 +10 10 255\n", 3), (b"P5 10 10 2_55\n", 9),
+        (b"P5 10 10 " + b"9" * 5000 + b"\n", 9),
+    ], ids=["underscore", "sign", "maxval-underscore", "5000-digits"])
+    def test_header_fields_are_ascii_decimal_digits(self, tmp_path, header, offset):
+        # int() would read 1_0 and +10 as 10, and fails on 5000 digits
+        path = tmp_path / "h.pgm"
+        path.write_bytes(header + bytes(100))
+        with pytest.raises(CodecError, match=rf"\(at byte offset {offset}\)") as info:
+            io_formats.read_pgm(path)
+        assert info.value.offset == offset
 
 
 class TestAnnotations:

@@ -59,6 +59,13 @@ def _spy_patch_bounds(monkeypatch):
     monkeypatch.setattr(ops, "_patches", spy)
 
 
+def _pool_of_padded(x):
+    """The oracle pool of x zero-padded to even size: on a relu output
+    (>= 0), a trailing odd row or column pooled alone."""
+    h, w = x.shape[2:]
+    return naive_maxpool2(np.pad(x, ((0, 0), (0, 0), (0, h % 2), (0, w % 2))))[0]
+
+
 class TestConv2d:
     def test_ones_kernel_padding(self):
         x = np.ones((1, 1, 3, 3))
@@ -156,7 +163,7 @@ class TestConv2d:
         b = dyadic(rng, 4)
         row_bytes, fixed = conv_block_bytes(3, 4, k, hw[1] + k - 1, x.itemsize)
         monkeypatch.setattr(ops, "_PATCH_BYTES", rows * row_bytes + fixed)
-        want, _ = ops.maxpool2(layers._pad_to_even(np.maximum(naive_conv2d(x, w, b), 0)))
+        want = _pool_of_padded(np.maximum(naive_conv2d(x, w, b), 0))
         got = ops.conv2d(x, w, b, relu=True, pool=True)
         assert got.shape == want.shape
         np.testing.assert_array_equal(got, want)
@@ -189,7 +196,7 @@ class TestConv2d:
         b = dyadic(rng, k)
         gy = dyadic(rng, (2, k, 13, 5))
         want = naive_conv2d(x, w, b)
-        pooled, _ = ops.maxpool2(layers._pad_to_even(np.maximum(want, 0)))
+        pooled = _pool_of_padded(np.maximum(want, 0))
         grads = naive_conv2d_backward(gy, x, w)
         row_bytes, fixed = conv_block_bytes(k, k, k, 5 + k - 1, x.itemsize)
         for rows, blocks in [(2, 14), (6, 6), (13, 2), (26, 1)]:
@@ -222,7 +229,7 @@ class TestConv2d:
         b = dyadic(rng, 2)
         gy = dyadic(rng, (3, 2) + hw)
         want = naive_conv2d(x, w, b)
-        pooled, _ = ops.maxpool2(layers._pad_to_even(np.maximum(want, 0)))
+        pooled = _pool_of_padded(np.maximum(want, 0))
         grads = naive_conv2d_backward(gy, x, w)
         for budget, blocks in [(0, 3 * ((hw[0] + 1) // 2)), (ops._PATCH_BYTES, 1)]:
             monkeypatch.setattr(ops, "_PATCH_BYTES", budget)
@@ -492,17 +499,17 @@ class TestConv2dTranspose:
 class TestMaxPool2:
     def test_single_window(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
-        y, idx = ops.maxpool2(x)
+        y = ops.maxpool2(x)
         assert y[0, 0, 0, 0] == 4.0
-        assert idx[0, 0, 0, 0] == 3  # row-major flat offset of (1,1)
+        gx = ops.maxpool2_backward(np.ones_like(y), x, y)
+        np.testing.assert_array_equal(gx.ravel(), [0.0, 0.0, 0.0, 1.0])
 
     def test_constant_tie_break(self):
         x = np.full((1, 1, 4, 4), 2.5)
-        y, idx = ops.maxpool2(x)
+        y = ops.maxpool2(x)
         np.testing.assert_array_equal(y, np.full((1, 1, 2, 2), 2.5))
-        np.testing.assert_array_equal(idx, np.zeros((1, 1, 2, 2), dtype=idx.dtype))
         gy = np.ones((1, 1, 2, 2))
-        gx = ops.maxpool2_backward(gy, idx, x.shape)
+        gx = ops.maxpool2_backward(gy, x, y)
         # gradient lands on window position (0,0) only
         expected = np.zeros((1, 1, 4, 4))
         expected[0, 0, 0::2, 0::2] = 1.0
@@ -511,10 +518,11 @@ class TestMaxPool2:
     def test_matches_naive_oracle(self, rng):
         for _ in range(5):
             x = dyadic(rng, (2, 3, 6, 4))
-            y, idx = ops.maxpool2(x)
-            ey, eidx = naive_maxpool2(x)
-            np.testing.assert_array_equal(y, ey)
-            np.testing.assert_array_equal(idx, eidx)
+            y = ops.maxpool2(x)
+            np.testing.assert_array_equal(y, naive_maxpool2(x)[0])
+            gy = dyadic(rng, y.shape)
+            np.testing.assert_array_equal(ops.maxpool2_backward(gy, x, y),
+                                          naive_maxpool2_backward(gy, x))
 
     @staticmethod
     def _pooled(x, fused):
@@ -524,25 +532,25 @@ class TestMaxPool2:
             return ops.maxpool2(x)
         one = np.ones((1, 1, 1, 1))
         return np.concatenate([ops.conv2d(x[:, c : c + 1], one, np.zeros(1), pool=True)
-                               for c in range(x.shape[1])], axis=1), None
+                               for c in range(x.shape[1])], axis=1)
 
-    def test_ties_with_and_without_index(self, rng):
-        # three values over four positions: most windows hold a tie; the
-        # pool fused into a conv's epilogue computes no index
-        x = dyadic(rng, (2, 3, 6, 8), denom=1, lo=0, hi=2)
-        ey, eidx = naive_maxpool2(x)
-        y, idx = ops.maxpool2(x)
-        np.testing.assert_array_equal(y, ey)
-        np.testing.assert_array_equal(idx, eidx)
-        fused, none = self._pooled(x, fused=True)
-        assert none is None
-        assert fused.tobytes() == y.tobytes()
+    def test_ties_forward_backward_and_fused(self, rng):
+        # three values over four positions: most windows hold a tie, and
+        # the backward finds the first position holding the max again
+        for shape in [(2, 3, 6, 8), (2, 3, 7, 5)]:
+            x = dyadic(rng, shape, denom=1, lo=0, hi=2)
+            y = ops.maxpool2(x)
+            np.testing.assert_array_equal(y, _pool_of_padded(x))
+            gy = dyadic(rng, y.shape)
+            np.testing.assert_array_equal(ops.maxpool2_backward(gy, x, y),
+                                          naive_maxpool2_backward(gy, x))
+            assert self._pooled(x, fused=True).tobytes() == y.tobytes()
 
     @pytest.mark.parametrize("fused", [False, True])
     def test_nan_propagates(self, rng, fused):
         x = dyadic(rng, (1, 2, 4, 4))
         x[0, 1, 3, 2] = np.nan
-        y, _ = self._pooled(x, fused)
+        y = self._pooled(x, fused)
         assert np.isnan(y[0, 1, 1, 1])
         y[0, 1, 1, 1] = 0.0
         assert np.all(np.isfinite(y))
@@ -551,40 +559,77 @@ class TestMaxPool2:
     @pytest.mark.parametrize("pos", range(4))
     def test_nan_in_each_window_position(self, rng, fused, pos):
         # the row max and the column max each see the NaN whichever
-        # operand holds it
-        x = dyadic(rng, (1, 1, 4, 4))
+        # operand holds it; no position holds a NaN max, so the backward
+        # gives that window's gradient to its last position, and every
+        # other window's as the oracle does
+        x = dyadic(rng, (1, 1, 4, 4), lo=0)
         x[0, 0, 2 + pos // 2, 2 + pos % 2] = np.nan
-        y, idx = self._pooled(x, fused)
+        y = self._pooled(x, fused)
         assert np.isnan(y[0, 0, 1, 1])
         assert np.isfinite(np.delete(y.ravel(), 3)).all()
         if not fused:
-            assert idx[0, 0, 1, 1] == 3
+            gy = dyadic(rng, y.shape)
+            want = naive_maxpool2_backward(gy, x)
+            want[0, 0, 2:, 2:] = [[0.0, 0.0], [0.0, gy[0, 0, 1, 1]]]
+            np.testing.assert_array_equal(ops.maxpool2_backward(gy, x, y), want)
 
-    @pytest.mark.parametrize("shape", [(2, 3, 6, 8), (2, 3, 7, 5)])
+    @pytest.mark.parametrize("shape", [(2, 3, 6, 8), (2, 3, 7, 5), (2, 3, 7, 8), (1, 2, 6, 5),
+                                       (1, 1, 1, 3)])
     def test_backward_matches_naive_oracle(self, rng, shape):
-        # three values over four positions, so most windows tie; the engine
-        # pads an odd input with zeros, which win windows of -1s, and crops
-        # the gradient back
-        x = dyadic(rng, shape, denom=1, lo=-1, hi=1)
-        y, caches = layers.seq_forward(x, {}, "p", [("pool0", "pool")])
+        # a relu output (>= 0) of three values, so most windows tie; a
+        # trailing odd row or column pools alone, and the oracle pools
+        # its zero padding
+        x = dyadic(rng, shape, denom=1, lo=0, hi=2)
+        y = ops.maxpool2(x)
         gy = dyadic(rng, y.shape)
-        gx, _ = layers.seq_backward(gy, caches, {})
+        gx = ops.maxpool2_backward(gy, x, y)
         assert gx.shape == x.shape
         np.testing.assert_array_equal(gx, naive_maxpool2_backward(gy, x))
 
-    def test_odd_dims_raise(self, rng):
-        with pytest.raises(ShapeError, match="pad"):
-            ops.maxpool2(rng.uniform(-1, 1, (1, 1, 5, 4)))
+    def test_odd_dims_pool_alone(self, rng):
+        # a trailing odd row or column pools alone: on a relu output, the
+        # pool of its zero padding
+        for h, w in [(7, 6), (6, 7), (7, 7), (1, 1)]:
+            x = dyadic(rng, (2, 3, h, w), lo=0)
+            y = ops.maxpool2(x)
+            assert y.shape == (2, 3, (h + 1) // 2, (w + 1) // 2)
+            np.testing.assert_array_equal(y, _pool_of_padded(x))
+
+    def test_engine_pools_only_after_a_relu_conv(self, rng):
+        # pooling a trailing odd row alone equals zero padding only on a
+        # relu output
+        relu_conv, linear_conv = ("conv0", "conv", 1, 1, "relu"), ("conv0", "conv", 1, 1, "linear")
+        p = {"p.conv0.weight": np.ones((1, 1, 1, 1)), "p.conv0.bias": np.zeros(1)}
+        x = dyadic(rng, (1, 1, 5, 5))
+        for spec in ([("pool0", "pool")], [linear_conv, ("pool0", "pool")],
+                     [relu_conv, ("pool0", "pool"), ("pool1", "pool")]):
+            for keep in (True, False):
+                with pytest.raises(ValueError, match="must follow a relu conv"):
+                    layers.seq_forward(x, p, "p", spec, keep_caches=keep)
+
+    def test_engine_backward_matches_naive_chain(self, rng):
+        # conv -> relu -> pool on odd maps, walked back through the engine
+        spec = [("conv0", "conv", 3, 2, "relu"), ("pool0", "pool")]
+        p = {"p.conv0.weight": dyadic(rng, (2, 2, 3, 3)), "p.conv0.bias": dyadic(rng, 2)}
+        x = dyadic(rng, (2, 2, 7, 5))
+        y, caches = layers.seq_forward(x, p, "p", spec)
+        a = np.maximum(naive_conv2d(x, p["p.conv0.weight"], p["p.conv0.bias"]), 0)
+        np.testing.assert_array_equal(y, _pool_of_padded(a))
+        gy = dyadic(rng, y.shape)
+        gx, grads = layers.seq_backward(gy, caches, p)
+        ga = naive_maxpool2_backward(gy, a) * (a > 0)
+        want = naive_conv2d_backward(ga, x, p["p.conv0.weight"])
+        for got, ref in zip((gx, grads["p.conv0.weight"], grads["p.conv0.bias"]), want):
+            np.testing.assert_array_equal(got, ref)
 
     def test_gradients(self, rng):
-        # distinct values so the argmax is FD-stable
+        # distinct values so each window's max is FD-stable
         x = rng.permutation(np.arange(64, dtype=np.float64) / 7.0).reshape(1, 1, 8, 8)
         r = rng.uniform(-1, 1, (1, 1, 4, 4))
 
         def f(x_):
-            y, idx = ops.maxpool2(x_)
-            gx = ops.maxpool2_backward(r, idx, x_.shape)
-            return float((y * r).sum()), [gx]
+            y = ops.maxpool2(x_)
+            return float((y * r).sum()), [ops.maxpool2_backward(r, x_, y)]
 
         assert grad_check(f, [x], h=1e-3) < 1e-4
 
@@ -799,6 +844,6 @@ class TestDeterminism:
         y1 = ops.conv2d(x, w, b)
         y2 = ops.conv2d(x.copy(), w.copy(), b.copy())
         np.testing.assert_array_equal(y1, y2)
-        p1, _ = ops.maxpool2(x)
-        p2, _ = ops.maxpool2(x)
+        p1 = ops.maxpool2(x)
+        p2 = ops.maxpool2(x)
         np.testing.assert_array_equal(p1, p2)

@@ -1,6 +1,7 @@
 """Tests for the Adam optimizer, the two-phase trainer, and evaluation."""
 
 import os
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -324,6 +325,27 @@ class TestEvaluate:
         train.evaluate(params, manifest, root, "train", arch=arch)
         assert len(outputs) == len(manifest.split_items("train"))
         assert all(out.cache == {} for out in outputs)
+
+    def test_holds_one_images_outputs_at_a_time(self, tmp_path):
+        # the last image's outputs are dropped before the next forward, so
+        # two images peak as one does (test_network's 12 MiB bound)
+        items = []
+        for i in range(2):
+            img, pts = synth.synth_scene(i, 384, 512, (3, 12))
+            io_formats.write_pgm(str(tmp_path / f"{i}.pgm"), img[0])
+            io_formats.write_annotations(str(tmp_path / f"{i}.txt"), pts)
+            items.append(ManifestItem(f"{i}.pgm", f"{i}.txt", "test"))
+        arch = Arch.default()
+        params = init_params(arch, np.random.default_rng(5))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _, _, records = train.evaluate(params, Manifest(items, None), str(tmp_path), "test")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 2
+        assert peak < 12 * 2**20
 
     def test_empty_split_rejected(self, dataset):
         manifest, root = dataset
