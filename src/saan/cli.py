@@ -120,16 +120,16 @@ def cmd_prepare(args):
     if not valid_sigma(args.sigma):
         raise ConfigError(f"--sigma {SIGMA_RULE}, got {args.sigma}")
     os.makedirs(os.path.join(base, "density"), exist_ok=True)
-    train_maps = []
-    for item in manifest.items:
-        points = io_formats.read_annotations(os.path.join(base, item.ann))
-        h, w = io_formats.read_pgm(os.path.join(base, item.image)).shape
-        dm = gaussian_density_map(points, h, w, sigma=args.sigma)
-        path = io_formats.density_path(base, item)
-        io_formats.save_density(path, dm)
-        if item.split == "train":
-            train_maps.append(io_formats.load_ground_truth(path).astype(np.float64))
-    bins = compute_bins(train_maps)
+
+    def train_maps():  # each map as written, so the bins are those of the files
+        for item in manifest.items:
+            points = io_formats.read_annotations(os.path.join(base, item.ann))
+            h, w = io_formats.read_pgm(os.path.join(base, item.image)).shape
+            dm = gaussian_density_map(points, h, w, sigma=args.sigma).astype(np.float32)
+            io_formats.save_density(io_formats.density_path(base, item), dm)
+            if item.split == "train":
+                yield dm.astype(np.float64)
+    bins = compute_bins(train_maps())
     io_formats.save_manifest(args.manifest, Manifest(items=manifest.items, bins=bins))
     print(json.dumps({
         "images": len(manifest.items),

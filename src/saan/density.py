@@ -5,8 +5,8 @@ Dot annotations are arrays of (x, y) pixel coordinates, one per person,
 float array whose sum equals the person count: each dot stamps a
 Gaussian kernel (truncated at 4*sigma, clipped at the borders) that is
 renormalized to sum to exactly 1. A map evaluates the Gaussian once, as
-one table over the offsets; a dot the border clips renormalizes its
-slice of that table.
+one table over the offsets, and normalizes a slice of it once per clip
+shape, so each dot is one slice add.
 
 Scale labels discretize counts into three equal-width bins over the
 training-set range; the first two intervals are half-open, the last is
@@ -61,11 +61,14 @@ def valid_sigma(sigma):
 def gaussian_density_map(points, height, width, sigma=4.0):
     """Sum of per-dot normalized Gaussian stamps; float64 [height, width].
 
-    The Gaussian is evaluated once, over the offsets |dy| <= min(r, H) and
-    |dx| <= min(r, W), r = ceil(4 sigma): a dot rounds to at most row H or
-    column W. A dot the border clips normalizes a contiguous copy of its
-    slice, which sums in the same order as a stamp evaluated over its
-    window alone, so a map is byte-identical to per-dot stamping.
+    The Gaussian is evaluated once, over the offsets |dy| <= ry, |dx| <= rx
+    with ry, rx = min(r, H), min(r, W) and r = ceil(4 sigma). A dot rounds
+    to at most row H or column W, so its window clipped to the image is
+    its window at ry, rx, and the int64 window arithmetic never sees r,
+    which no int64 holds at sigma = 1e300. Each clip shape's slice of the
+    table is normalized once per call, as a contiguous copy that sums in
+    the same order as a stamp evaluated over its window alone: a map is
+    byte-identical to per-dot stamping, and each dot is one slice add.
     """
     if not valid_sigma(sigma):
         raise ValueError(f"sigma {SIGMA_RULE}, got {sigma}")
@@ -83,35 +86,41 @@ def gaussian_density_map(points, height, width, sigma=4.0):
     dy = np.arange(-ry, ry + 1)
     dx = np.arange(-rx, rx + 1)
     table = np.exp(-(dy[:, None] ** 2 + dx[None, :] ** 2) / (2.0 * sigma * sigma))
-    inner = table / table.sum()  # only read when ry == rx == radius
-    for cx, cy in np.rint(pts).astype(np.int64).tolist():
-        y0, y1 = max(0, cy - radius), min(height, cy + radius + 1)
-        x0, x1 = max(0, cx - radius), min(width, cx + radius + 1)
-        if y1 - y0 == x1 - x0 == 2 * radius + 1:
-            m[y0:y1, x0:x1] += inner
-        else:
-            kernel = np.ascontiguousarray(
-                table[y0 - cy + ry:y1 - cy + ry, x0 - cx + rx:x1 - cx + rx])
-            m[y0:y1, x0:x1] += kernel / kernel.sum()
+    centre = np.rint(pts[:, ::-1]).astype(np.int64)  # (row, column)
+    lo = np.maximum(centre - (ry, rx), 0)
+    hi = np.minimum(centre + (ry + 1, rx + 1), (height, width))
+    stamps = {}
+    for y0, x0, y1, x1, ty, tx in np.column_stack([lo, hi, lo - centre + (ry, rx)]).tolist():
+        key = (ty, tx, y1 - y0, x1 - x0)
+        stamp = stamps.get(key)
+        if stamp is None:
+            kernel = np.ascontiguousarray(table[ty:ty + y1 - y0, tx:tx + x1 - x0])
+            stamp = stamps[key] = kernel / kernel.sum()
+        m[y0:y1, x0:x1] += stamp
     return m
 
 
 def compute_bins(train_maps):
-    """Global and local count ranges over the training maps -> ScaleBins."""
-    if not train_maps:
+    """Global and local count ranges over the training maps -> ScaleBins.
+
+    Reads train_maps, any iterable, once, keeping only each map's count
+    and the running local extremes, so a generator holds one map at a
+    time."""
+    counts, lmin, lmax = [], np.inf, -np.inf
+    for m in train_maps:
+        m = np.asarray(m, dtype=np.float64)
+        counts.append(float(m.sum()))
+        local = box_sum(m, LOCAL_RADIUS)
+        lmin = min(lmin, float(local.min()))
+        lmax = max(lmax, float(local.max()))
+    if not counts:
         raise BinningError("cannot compute bins from an empty training set")
-    counts = [float(np.asarray(m, dtype=np.float64).sum()) for m in train_maps]
     gmin, gmax = min(counts), max(counts)
     if gmin == gmax:
         raise BinningError(
             f"degenerate training set: every image has count {gmin}; "
             "global bins need a non-empty range"
         )
-    lmin, lmax = np.inf, -np.inf
-    for m in train_maps:
-        local = box_sum(np.asarray(m, dtype=np.float64), LOCAL_RADIUS)
-        lmin = min(lmin, float(local.min()))
-        lmax = max(lmax, float(local.max()))
     if lmin == lmax:
         raise BinningError(
             f"degenerate training set: every local window has count {lmin}"

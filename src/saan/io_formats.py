@@ -1,7 +1,7 @@
 """On-disk formats: PGM images, annotation text, density maps, manifests.
 
   Images       binary PGM (P5), 8-bit grayscale, loaded as v/255.
-  Annotations  UTF-8 text, one "x,y" pair per line, decimal floats, LF.
+  Annotations  UTF-8 text, one "x,y" pair per line, finite decimal floats, LF.
   Density map  magic "SAANDM1\\n", u32 LE height, u32 LE width, then
                height*width 32-bit LE floats in row-major order,
                each finite. A ground-truth map's values are also >= 0
@@ -21,6 +21,7 @@ failed write leaves the previous file as it was.
 import contextlib
 import functools
 import json
+import math
 import os
 import shutil
 import struct
@@ -159,9 +160,12 @@ def read_annotations(path):
         if len(parts) != 2:
             raise AnnotationError(f"{path}:{lineno}: expected 'x,y', got {line!r}")
         try:
-            points.append((float(parts[0]), float(parts[1])))
+            x, y = float(parts[0]), float(parts[1])
         except ValueError:
             raise AnnotationError(f"{path}:{lineno}: non-numeric coordinate in {line!r}")
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise AnnotationError(f"{path}:{lineno}: non-finite coordinate in {line!r}")
+        points.append((x, y))
     return np.array(points, dtype=np.float64).reshape(-1, 2)
 
 
@@ -174,7 +178,7 @@ def save_density(path, density):
     with atomic_open(path, "wb") as fh:
         fh.write(DENSITY_MAGIC)
         fh.write(struct.pack("<II", arr.shape[0], arr.shape[1]))
-        fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        fh.write(np.ascontiguousarray(arr, dtype="<f4"))
 
 
 @names_its_file

@@ -485,25 +485,26 @@ def scale_broadcast_mul_backward(gy, f, g, l):
 def box_sum(m, radius):
     """Sliding window sum over [h-r, h+r) x [w-r, w+r), zero padded.
 
-    Integral-image implementation, O(H*W) independent of radius.
+    Integral image, cumsummed in place inside a frame edge-padded by
+    min(r, H) rows and min(r, W) columns, past which clipping saturates;
+    the four window corners are then slices of the frame. O(H*W) in time
+    and memory for any radius.
     """
     if m.ndim != 2:
         raise ShapeError(f"box_sum expects a 2-D map, got rank {m.ndim}")
     if radius < 0:
         raise ShapeError(f"radius must be >= 0, got {radius}")
     h, wd = m.shape
-    integ = np.zeros((h + 1, wd + 1), dtype=m.dtype)
-    integ[1:, 1:] = m.cumsum(axis=0).cumsum(axis=1)
-    rows = np.arange(h)
-    cols = np.arange(wd)
-    top = np.clip(rows - radius, 0, h)
-    bot = np.clip(rows + radius, 0, h)
-    left = np.clip(cols - radius, 0, wd)
-    right = np.clip(cols + radius, 0, wd)
-    b_rows = integ.take(bot, axis=0)
-    t_rows = integ.take(top, axis=0)
-    out = b_rows.take(right, axis=1)
-    out -= t_rows.take(right, axis=1)
-    out -= b_rows.take(left, axis=1)
-    out += t_rows.take(left, axis=1)
+    py, px = min(radius, h), min(radius, wd)
+    # frame[py + i, px + j] is the integral at (clip(i, 0, h), clip(j, 0, wd))
+    frame = np.zeros((h + 2 * py + 1, wd + 2 * px + 1), dtype=m.dtype)
+    integ = frame[py + 1:py + h + 1, px + 1:px + wd + 1]
+    np.cumsum(m, axis=0, out=integ)
+    np.cumsum(integ, axis=1, out=integ)
+    frame[py + h + 1:, px + 1:px + wd + 1] = frame[py + h, px + 1:px + wd + 1]
+    frame[:, px + wd + 1:] = frame[:, px + wd:px + wd + 1]
+    b_rows, t_rows = frame[2 * py:2 * py + h], frame[:h]
+    out = b_rows[:, 2 * px:2 * px + wd] - t_rows[:, 2 * px:2 * px + wd]
+    out -= b_rows[:, :wd]
+    out += t_rows[:, :wd]
     return out

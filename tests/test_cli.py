@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,6 +133,26 @@ class TestPrepare:
             for it in manifest.split_items("train")
         ]
         assert compute_bins(maps) == manifest.bins
+
+    def test_memory_does_not_grow_with_the_train_split(self, tmp_path):
+        # prepare holds one density map at a time: over 8 train scenes it
+        # peaks within one float64 map of its peak over 2 (the first run
+        # only warms up)
+        peaks = []
+        for n in (2, 2, 8):
+            root = tmp_path / f"run{len(peaks)}"
+            assert run_synth(root, images=n, size="128x128", cmin=5, cmax=60) == 0
+            manifest_path = str(root / "manifest.json")
+            items = [ManifestItem(it.image, it.ann, "train")
+                     for it in io_formats.load_manifest(manifest_path).items]
+            io_formats.save_manifest(manifest_path, Manifest(items, None))
+            tracemalloc.start()
+            try:
+                assert main(["prepare", "--manifest", manifest_path]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[2] - peaks[1]) < 128 * 128 * 8
 
     def test_idempotent(self, prepared):
         root, manifest_path = prepared

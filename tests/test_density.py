@@ -171,8 +171,13 @@ class TestComputeBins:
             density.compute_bins([m, m.copy(), m.copy()])
 
     def test_empty_raises(self):
-        with pytest.raises(BinningError):
-            density.compute_bins([])
+        for maps in ([], iter(())):
+            with pytest.raises(BinningError, match="^cannot compute bins from an empty"):
+                density.compute_bins(maps)
+
+    def test_reads_a_generator_once(self, rng):
+        maps = [self._map_with_count(rng, c) for c in (10, 25, 40)]
+        assert density.compute_bins(m for m in maps) == density.compute_bins(maps)
 
 
 class TestGlobalScaleLabel:

@@ -1,6 +1,7 @@
 """Tests for the on-disk codecs: PGM, annotations, density maps,
 manifests and checkpoints."""
 
+import re
 import struct
 
 import numpy as np
@@ -82,6 +83,60 @@ class TestPgm:
             io_formats.read_pgm(path)
         assert info.value.offset == offset
 
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(data=st.data())
+    def test_mutated_files_match_the_header_grammar(self, tmp_path_factory, data):
+        # read_pgm returns exactly the pixels after a header that
+        # PGM_HEADER matches with positive dimensions and maxval 255, when
+        # enough of them follow; anything else is a CodecError
+        blob = data.draw(mutated_pgm())
+        path = tmp_path_factory.getbasetemp() / "mutated.pgm"
+        path.write_bytes(blob)
+        header = PGM_HEADER.match(blob)
+        width, height, maxval = map(int, header.groups()) if header else (0, 0, 0)
+        if width > 0 and height > 0 and maxval == 255 and len(blob) - header.end() >= width * height:
+            want = np.frombuffer(blob, np.uint8, width * height, header.end())
+            want = want.reshape(height, width).astype(np.float32) / np.float32(255.0)
+            assert io_formats.read_pgm(path).tobytes() == want.tobytes()
+        else:
+            with pytest.raises(CodecError):
+                io_formats.read_pgm(path)
+
+
+# a binary PGM header: tokens split by whitespace and '#' comments to the
+# end of a line, a token ends only at whitespace, and one whitespace byte
+# follows maxval
+_GAP = rb"(?:\s|#[^\n]*)*"
+PGM_HEADER = re.compile(rb"\A" + _GAP + rb"P5\s" + b"".join([_GAP + rb"(\d+)\s"] * 3))
+
+
+@st.composite
+def mutated_pgm(draw):
+    """A PGM with up to two of its nine parts bad: bad magic, signs,
+    underscores, zeros or values that overflow or disagree with the
+    payload, a missing separator, a payload a few bytes short or long;
+    perhaps mutated as in mutated_bytes."""
+    bad_parts, part = draw(st.sets(st.integers(0, 8), max_size=2)), iter(range(9))
+
+    def pick(good, bad):
+        return draw(st.sampled_from(bad if next(part) in bad_parts else good))
+
+    def field(*good):
+        bad = (0, 7, 2**32, 10**25, 2**64 + 1, "-2", "+2", "1_0", "0x3", "2.0", "\u0663")
+        return str(pick(good, bad)).encode()
+
+    def sep(*bad):
+        return pick((b" ", b"\n", b"\t", b"\r\n", b"\n# c 9 9\n"), bad)
+
+    width, height = field(1, 3, 4), field(1, 2, 5)
+    head = pick((b"P5",), (b"P2", b"P6", b"p5", b"P55", b"", b"# c\nP5", b" P5"))
+    for value in (width, height, field(255, "0255")):
+        head += sep(b"#x", b"") + value
+    head += sep(b"\r", b"", b"#")
+    stated = int(width) * int(height) if width.isdigit() and height.isdigit() else 12
+    size = max(0, min(stated, 64) + pick((0,), (-2, -1, 1, 3)))
+    return draw(mutated_bytes(head + draw(st.binary(min_size=size, max_size=size))))
+
 
 class TestAnnotations:
     def test_round_trip_exact(self, rng, tmp_path):
@@ -112,6 +167,82 @@ class TestAnnotations:
         path.write_text("1.0,abc\n")
         with pytest.raises(AnnotationError, match=":1:"):
             io_formats.read_annotations(path)
+
+    @pytest.mark.parametrize("line", ["nan,nan", "1e400,2", "-inf,3", "4, Infinity"])
+    def test_non_finite_coordinate_reports_number(self, tmp_path, line):
+        # float() reads each of these; as a dot it would count as a person
+        path = tmp_path / "f.txt"
+        path.write_text(f"1.0,2.0\n\n{line}\n5.0,6.0\n")
+        with pytest.raises(AnnotationError, match=f":3: non-finite coordinate in {line!r}"):
+            io_formats.read_annotations(path)
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(data=st.data())
+    def test_mutated_files_raise_or_read_every_line(self, tmp_path_factory, data):
+        # unmutated, a file reads as its finite pairs, or raises naming its
+        # first bad line; mutated, it raises or reads one finite pair per
+        # line that is not blank
+        lines = data.draw(annotation_lines(), label="lines")
+        blob = "".join(text + end for text, _, end in lines).encode("utf-8")
+        mutated = data.draw(mutated_bytes(blob), label="mutated")
+        path = tmp_path_factory.getbasetemp() / "mutated.txt"
+        path.write_bytes(mutated)
+        def split(text):  # as a text-mode file reads: \r\n, \r and \n end a line
+            return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+        try:
+            back = io_formats.read_annotations(path)
+        except AnnotationError as exc:
+            if mutated == blob:
+                bad = [i for i, (_, value, _) in enumerate(lines) if value is None]
+                before = "".join(text + end for text, _, end in lines[:bad[0]])
+                assert f":{len(split(before))}:" in str(exc)
+            return
+        assert back.dtype == np.float64 and np.isfinite(back).all()
+        assert back.shape == (sum(1 for line in split(mutated.decode("utf-8")) if line.strip()), 2)
+        if mutated == blob:
+            assert all(value is not None for _, value, _ in lines)
+            assert back.tolist() == [value for _, value, _ in lines if value]
+
+
+@st.composite
+def annotation_lines(draw):
+    """Up to six lines with up to two bad ones among them, each as (text,
+    the pair it reads as, or None when it must be refused and () when it
+    is blank, line end)."""
+    def line(bad):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        x, y = draw(finite), draw(finite)
+        if bad:
+            non_finite = f"{x!r},{draw(st.sampled_from(['nan', '-inf', '1e400', 'Infinity']))}"
+            return draw(st.just((non_finite, None)) | st.sampled_from([
+                (f"{x!r}", None), (f"{x!r} {y!r}", None), (f"{x!r},{y!r},", None),
+                (f"{x!r},,{y!r}", None), (f"{x!r}\0,{y!r}", None), ("x,y", None)]))
+        pad = st.sampled_from(["", " ", "\t", "  "])
+        return draw(st.sampled_from([
+            (f"{x!r},{y!r}", [x, y]), (draw(pad), ()),
+            (f"{draw(pad)}{x!r}{draw(pad)},{draw(pad)}{y!r}{draw(pad)}", [x, y])]))
+
+    lines = [line(False) for _ in range(draw(st.integers(0, 6)))]
+    for pos in draw(st.lists(st.integers(0, len(lines)), max_size=2)):
+        lines.insert(pos, line(True))
+    return [(text, value, draw(st.sampled_from(["\n", "\r\n", "\r"]))) for text, value in lines]
+
+
+@st.composite
+def mutated_bytes(draw, blob):
+    """blob, or blob with up to two bits flipped, NUL or non-UTF-8 bytes
+    inserted, and perhaps cut at a drawn length."""
+    if not draw(st.booleans()):
+        return blob
+    out = bytearray(blob)
+    for bit in draw(st.lists(st.integers(0, 8 * len(out) - 1), max_size=2)) if out else ():
+        out[bit // 8] ^= 1 << bit % 8
+    for pos, junk in draw(st.lists(st.tuples(st.integers(0, len(out)),
+                                             st.sampled_from([b"\0", b"\xff", b"\xc3("])),
+                                   max_size=2)):
+        out[pos:pos] = junk
+    return bytes(out[: draw(st.none() | st.integers(0, len(out)))])
 
 
 class TestDensityCodec:

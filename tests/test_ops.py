@@ -15,6 +15,7 @@ from oracles import (
     dyadic,
     naive_attention_weight,
     naive_box_sum,
+    naive_gathered_box_sum,
     naive_conv2d,
     naive_conv2d_backward,
     naive_conv2d_transpose,
@@ -834,6 +835,28 @@ class TestBoxSum:
         m = dyadic(rng, (32, 32), denom=256, lo=0, hi=255)
         for r in (1, 5, 16, 32):
             np.testing.assert_array_equal(ops.box_sum(m, r), naive_box_sum(m, r))
+
+    @pytest.mark.parametrize("radius", [0, 1, 32, 10**9])
+    @pytest.mark.parametrize("shape", [(48, 64), (7, 3), (1, 1)])
+    def test_bytes_equal_to_gathered_oracle(self, rng, shape, radius):
+        # any radius past the map's sides clips to them; the -0.0 keeps the
+        # sign of each integral's zeros in the comparison
+        m = rng.standard_normal(shape)
+        m[0, 0] = -0.0
+        assert ops.box_sum(m, radius).tobytes() == naive_gathered_box_sum(m, radius).tobytes()
+
+    def test_memory_is_under_three_maps(self, rng):
+        # the integral frame (radius 32 on each side) and the output; four
+        # gathered [H, W] corners would take five maps
+        m = rng.uniform(0, 0.01, (384, 512))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ops.box_sum(m, 32)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * m.nbytes
 
 
 class TestDeterminism:
