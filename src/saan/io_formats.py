@@ -126,7 +126,7 @@ def read_pgm(path):
         raise CodecError(f"only 8-bit pgm supported, maxval {maxval}", offset=pos)
     if width <= 0 or height <= 0:
         raise CodecError(f"pgm dimensions must be positive, got {width}x{height}", offset=pos)
-    pos += 1  # single whitespace byte after maxval
+    pos = min(pos + 1, len(buf))  # single whitespace byte after maxval, unless at EOF
     need = width * height
     if len(buf) - pos < need:
         raise CodecError(
@@ -165,6 +165,10 @@ def read_annotations(path):
             raise AnnotationError(f"{path}:{lineno}: non-numeric coordinate in {line!r}")
         if not (math.isfinite(x) and math.isfinite(y)):
             raise AnnotationError(f"{path}:{lineno}: non-finite coordinate in {line!r}")
+        # float() also reads 1_0 and non-ASCII digits; once it has read a
+        # finite pair, an ASCII line without "_" holds two decimal numbers
+        if "_" in line or not line.isascii():
+            raise AnnotationError(f"{path}:{lineno}: non-numeric coordinate in {line!r}")
         points.append((x, y))
     return np.array(points, dtype=np.float64).reshape(-1, 2)
 

@@ -33,19 +33,17 @@ def param_inventory(arch):
     return out
 
 
-def init_params(arch, rng=None, dtype=np.float32, prefix=None):
-    """Fresh parameters; pass prefix to initialize one sub-network only."""
-    if rng is None:
-        rng = np.random.default_rng(0)
+def init_params(arch, rng, prefix=None):
+    """Fresh float32 parameters; pass prefix to initialize one sub-network only."""
     params = {}
     for name, shape, fan_in in param_inventory(arch):
         if prefix is not None and not name.startswith(prefix):
             continue
         if name.endswith(".bias"):
-            params[name] = np.zeros(shape, dtype=dtype)
+            params[name] = np.zeros(shape, dtype=np.float32)
         else:
             std = np.sqrt(2.0 / fan_in)
-            params[name] = (rng.standard_normal(shape) * std).astype(dtype)
+            params[name] = (rng.standard_normal(shape) * std).astype(np.float32)
     return params
 
 

@@ -6,8 +6,8 @@ one bright Gaussian blob per person, whose radius shrinks linearly from
 proxy). Everything is a pure function of its seed.
 
 Augmentation is a multiple-of-4-aligned random square crop plus a 50%
-horizontal flip; annotation points and the density map are transformed
-consistently, and points falling outside the crop are dropped.
+horizontal flip, applied alike to an image and its density map; training
+needs no dots once their map is made.
 """
 
 import math
@@ -38,8 +38,7 @@ def synth_scene(seed, height, width, count_range):
 
     points = np.empty((k, 2), dtype=np.float64)
     for i in range(k):
-        # dots stay within [0, W-1] x [0, H-1] so a pixel-center flip
-        # cannot push them out of bounds
+        # dots stay within the pixel centers [0, W-1] x [0, H-1]
         x = rng.uniform(0.0, width - 1.0)
         y = rng.uniform(0.0, height - 1.0)
         points[i] = (x, y)
@@ -60,37 +59,9 @@ def synth_scene(seed, height, width, count_range):
     return img[None, :, :], points
 
 
-def hflip(image, points, density):
-    """Mirror all three around the vertical pixel-center axis."""
-    w = image.shape[2]
-    flipped_pts = np.array(points, dtype=np.float64).reshape(-1, 2).copy()
-    flipped_pts[:, 0] = np.maximum((w - 1.0) - flipped_pts[:, 0], 0.0)
-    return (
-        np.ascontiguousarray(image[:, :, ::-1]),
-        flipped_pts,
-        np.ascontiguousarray(density[:, ::-1]),
-    )
-
-
-def crop_region(image, points, density, top, left, size):
-    """Fixed crop of all three; drops points outside the window."""
-    img = np.ascontiguousarray(image[:, top : top + size, left : left + size])
-    den = np.ascontiguousarray(density[top : top + size, left : left + size])
-    pts = np.array(points, dtype=np.float64).reshape(-1, 2)
-    keep = (
-        (pts[:, 0] >= left)
-        & (pts[:, 0] < left + size)
-        & (pts[:, 1] >= top)
-        & (pts[:, 1] < top + size)
-    )
-    pts = pts[keep].copy()
-    pts[:, 0] -= left
-    pts[:, 1] -= top
-    return img, pts, den
-
-
-def augment(image, points, density, seed, crop):
-    """Seeded random aligned crop + 50% horizontal flip."""
+def augment(image, density, seed, crop):
+    """Seeded random aligned crop of an image and its density map, both
+    mirrored on the same 50% coin."""
     _, h, w = image.shape
     if crop % 4:
         raise ShapeError(f"crop size must be divisible by 4, got {crop}")
@@ -99,8 +70,8 @@ def augment(image, points, density, seed, crop):
     rng = np.random.default_rng(seed)
     top = 4 * int(rng.integers(0, (h - crop) // 4 + 1))
     left = 4 * int(rng.integers(0, (w - crop) // 4 + 1))
-    flip = bool(rng.integers(0, 2))
-    img, pts, den = crop_region(image, points, density, top, left, crop)
-    if flip:
-        img, pts, den = hflip(img, pts, den)
-    return img, pts, den
+    img = image[:, top:top + crop, left:left + crop]
+    den = density[top:top + crop, left:left + crop]
+    if rng.integers(0, 2):
+        img, den = img[:, :, ::-1], den[:, ::-1]
+    return np.ascontiguousarray(img), np.ascontiguousarray(den)

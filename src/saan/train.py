@@ -96,23 +96,7 @@ def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, epsilon=1e-8):
 @dataclass(frozen=True)
 class Sample:
     image: np.ndarray    # [1, H, W] float32
-    points: np.ndarray   # [K, 2] float64
     density: np.ndarray  # [H, W] float64
-
-
-def load_split(manifest, base_dir, split):
-    """Materialize one split in memory as a list of Sample."""
-    samples = []
-    for item in manifest.split_items(split):
-        image = io_formats.read_pgm(os.path.join(base_dir, item.image))[None, :, :]
-        points = io_formats.read_annotations(os.path.join(base_dir, item.ann))
-        dm = io_formats.load_ground_truth(io_formats.density_path(base_dir, item))
-        if dm.shape != image.shape[1:]:
-            raise ManifestError(
-                f"{item.image}: density map is {dm.shape[0]}x{dm.shape[1]} but the "
-                f"image is {image.shape[1]}x{image.shape[2]}; run prepare again")
-        samples.append(Sample(image=image, points=points, density=dm.astype(np.float64)))
-    return samples
 
 
 def _effective_crop(samples, crop_size):
@@ -125,7 +109,7 @@ def _make_batch(samples, indices, aug_seeds, crop, bins):
     xs, dens, g_gt, l_gt = [], [], [], []
     for i in indices:
         s = samples[i]
-        img, _, den = augment(s.image, s.points, s.density, int(aug_seeds[i]), crop)
+        img, den = augment(s.image, s.density, int(aug_seeds[i]), crop)
         xs.append(img)
         dens.append(den)
         g_gt.append(global_scale_label(den, bins))
@@ -206,20 +190,30 @@ def require_splits(manifest, splits):
 
 def load_training_set(manifest, base_dir):
     """The train split's samples and the manifest's bins: `train`'s data.
-    Refuses a train image under 8 pixels on a side, the network's least
-    input, so that every training crop is at least 8x8, and a density map
-    whose sum is not its annotation's dot count (to 1e-5 of max(1, dots)):
-    a map prepared from other or older dots would train on wrong labels."""
+    Refuses, item by item, a density map not shaped as its image, a train
+    image under 8 pixels on a side (the network's least input, so every
+    crop is at least 8x8), and a map whose sum is not its annotation's dot
+    count (to 1e-5 of max(1, dots)): a map prepared from other or older
+    dots would train on wrong labels."""
     require_splits(manifest, ["train"])
-    samples = load_split(manifest, base_dir, "train")
-    for item, s in zip(manifest.split_items("train"), samples):
-        if min(s.image.shape[1:]) < 8:
-            raise ManifestError(f"{item.image}: train image is {s.image.shape[1]}x"
-                                f"{s.image.shape[2]}; training needs at least 8x8")
-        total, dots = s.density.sum(), len(s.points)
+    samples = []
+    for item in manifest.split_items("train"):
+        image = io_formats.read_pgm(os.path.join(base_dir, item.image))[None, :, :]
+        dots = len(io_formats.read_annotations(os.path.join(base_dir, item.ann)))
+        dm = io_formats.load_ground_truth(io_formats.density_path(base_dir, item))
+        if dm.shape != image.shape[1:]:
+            raise ManifestError(
+                f"{item.image}: density map is {dm.shape[0]}x{dm.shape[1]} but the "
+                f"image is {image.shape[1]}x{image.shape[2]}; run prepare again")
+        if min(image.shape[1:]) < 8:
+            raise ManifestError(f"{item.image}: train image is {image.shape[1]}x"
+                                f"{image.shape[2]}; training needs at least 8x8")
+        density = dm.astype(np.float64)
+        total = density.sum()
         if abs(total - dots) > 1e-5 * max(1, dots):
             raise ManifestError(f"{item.image}: density map sums to {total:.6g} but {item.ann} "
                                 f"has {dots} dots; run prepare again")
+        samples.append(Sample(image=image, density=density))
     return samples, manifest.bins
 
 

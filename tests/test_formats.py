@@ -50,10 +50,13 @@ class TestPgm:
         with pytest.raises(CodecError, match="magic"):
             io_formats.read_pgm(path)
 
-    def test_truncated_data_reports_offset(self, tmp_path):
+    @pytest.mark.parametrize("blob, offset", [
+        (b"P5\n4 4\n255\n" + bytes(7), 11), (b"P5 2 2 255", 10),
+    ], ids=["short-payload", "eof-after-maxval"])
+    def test_truncated_data_reports_offset(self, tmp_path, blob, offset):
         path = tmp_path / "e.pgm"
-        path.write_bytes(b"P5\n4 4\n255\n" + bytes(7))
-        with pytest.raises(CodecError, match="offset"):
+        path.write_bytes(blob)
+        with pytest.raises(CodecError, match=rf"have \d+ \(at byte offset {offset}\)"):
             io_formats.read_pgm(path)
 
     def test_wide_maxval_rejected(self, tmp_path):
@@ -99,8 +102,9 @@ class TestPgm:
             want = want.reshape(height, width).astype(np.float32) / np.float32(255.0)
             assert io_formats.read_pgm(path).tobytes() == want.tobytes()
         else:
-            with pytest.raises(CodecError):
+            with pytest.raises(CodecError) as info:
                 io_formats.read_pgm(path)
+            assert 0 <= info.value.offset <= len(blob)
 
 
 # a binary PGM header: tokens split by whitespace and '#' comments to the
@@ -162,10 +166,12 @@ class TestAnnotations:
         with pytest.raises(AnnotationError, match=":2:"):
             io_formats.read_annotations(path)
 
-    def test_non_numeric_reports_number(self, tmp_path):
+    @pytest.mark.parametrize("line", ["1.0,abc", "1_0,2", "\u0663,4"])
+    def test_non_numeric_reports_number(self, tmp_path, line):
+        # float() reads 1_0 as 10 and the Arabic-Indic digit three as 3
         path = tmp_path / "e.txt"
-        path.write_text("1.0,abc\n")
-        with pytest.raises(AnnotationError, match=":1:"):
+        path.write_text(f"{line}\n", encoding="utf-8")
+        with pytest.raises(AnnotationError, match=f":1: non-numeric coordinate in {line!r}"):
             io_formats.read_annotations(path)
 
     @pytest.mark.parametrize("line", ["nan,nan", "1e400,2", "-inf,3", "4, Infinity"])
@@ -217,7 +223,8 @@ def annotation_lines(draw):
             non_finite = f"{x!r},{draw(st.sampled_from(['nan', '-inf', '1e400', 'Infinity']))}"
             return draw(st.just((non_finite, None)) | st.sampled_from([
                 (f"{x!r}", None), (f"{x!r} {y!r}", None), (f"{x!r},{y!r},", None),
-                (f"{x!r},,{y!r}", None), (f"{x!r}\0,{y!r}", None), ("x,y", None)]))
+                (f"{x!r},,{y!r}", None), (f"{x!r}\0,{y!r}", None), ("x,y", None),
+                (f"1_0,{y!r}", None), (f"{x!r},\u0663", None)]))
         pad = st.sampled_from(["", " ", "\t", "  "])
         return draw(st.sampled_from([
             (f"{x!r},{y!r}", [x, y]), (draw(pad), ()),

@@ -40,84 +40,71 @@ class TestSynthScene:
         assert not np.array_equal(img1, img2)
 
 
-class TestHflip:
-    def test_involution(self):
-        img, pts = synth.synth_scene(5, 32, 32, (8, 8))
-        den = density.gaussian_density_map(pts, 32, 32)
-        i2, p2, d2 = synth.hflip(*synth.hflip(img, pts, den))
-        np.testing.assert_array_equal(i2, img)
-        # (w-1) - ((w-1) - x) is not bitwise x in float arithmetic
-        np.testing.assert_allclose(p2, pts, rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(d2, den)
-
-    def test_mirrors_coordinates(self):
-        img = np.zeros((1, 4, 8))
-        den = np.zeros((4, 8))
-        _, pts, _ = synth.hflip(img, np.array([[0.0, 1.0], [7.0, 2.0]]), den)
-        np.testing.assert_array_equal(pts, np.array([[7.0, 1.0], [0.0, 2.0]]))
-
-
 class TestAugment:
     def _scene(self, seed=3, hw=64):
         img, pts = synth.synth_scene(seed, hw, hw, (12, 12))
-        den = density.gaussian_density_map(pts, hw, hw, sigma=4.0)
-        return img, pts, den
+        return img, density.gaussian_density_map(pts, hw, hw, sigma=4.0)
 
     def test_full_crop_is_identity_or_flip(self):
-        img, pts, den = self._scene()
-        saw_identity = saw_flip = False
+        img, den = self._scene()
+        flips = set()
         for seed in range(20):
-            ai, ap, ad = synth.augment(img, pts, den, seed, 64)
-            if np.array_equal(ai, img):
-                saw_identity = True
-                np.testing.assert_array_equal(ap, pts)
-                np.testing.assert_array_equal(ad, den)
-            else:
-                fi, fp, fd = synth.hflip(img, pts, den)
-                np.testing.assert_array_equal(ai, fi)
-                np.testing.assert_array_equal(ad, fd)
-                saw_flip = True
-        assert saw_identity and saw_flip
+            ai, ad = synth.augment(img, den, seed, 64)
+            flip = not np.array_equal(ai, img)
+            np.testing.assert_array_equal(ai, img[:, :, ::-1] if flip else img)
+            np.testing.assert_array_equal(ad, den[:, ::-1] if flip else den)
+            flips.add(flip)
+        assert flips == {False, True}
 
     def test_deterministic(self):
-        img, pts, den = self._scene()
-        a1 = synth.augment(img, pts, den, 42, 32)
-        a2 = synth.augment(img, pts, den, 42, 32)
+        img, den = self._scene()
+        a1 = synth.augment(img, den, 42, 32)
+        a2 = synth.augment(img, den, 42, 32)
         for x, y in zip(a1, a2):
             np.testing.assert_array_equal(x, y)
 
     def test_crop_alignment_and_shapes(self):
-        img, pts, den = self._scene()
-        ai, ap, ad = synth.augment(img, pts, den, 17, 32)
-        assert ai.shape == (1, 32, 32) and ad.shape == (32, 32)
-        if len(ap):
-            assert ap[:, 0].min() >= 0 and ap[:, 0].max() < 32
-            assert ap[:, 1].min() >= 0 and ap[:, 1].max() < 32
+        # every pixel holds its own index, so a crop names its window; the
+        # map is twice the image, so it must share the window and the flip
+        img = np.arange(64 * 64, dtype=np.float64).reshape(1, 64, 64)
+        den = 2.0 * img[0]
+        flips = set()
+        for seed in range(20):
+            ai, ad = synth.augment(img, den, seed, 32)
+            assert ai.shape == (1, 32, 32) and ad.shape == (32, 32)
+            np.testing.assert_array_equal(ad, 2.0 * ai[0])
+            top, left = divmod(int(ai.min()), 64)
+            assert top % 4 == 0 and left % 4 == 0
+            window = img[:, top:top + 32, left:left + 32]
+            flip = not np.array_equal(ai, window)
+            np.testing.assert_array_equal(ai, window[:, :, ::-1] if flip else window)
+            flips.add(flip)
+        assert flips == {False, True}
 
     def test_cropped_density_exact_when_dots_clear_the_cut(self):
         # every kernel (reach ceil(4*sigma) = 16 px) stays on one side of
-        # the 32px crop lines, so no mass leaks across the cut
+        # the 32px crop lines, so no mass leaks across the cut; seed 34
+        # draws the top-left window, unflipped
         pts = np.array([[8.0, 8.0], [14.0, 3.0], [52.0, 30.0], [30.0, 52.0]])
         den = density.gaussian_density_map(pts, 64, 64, sigma=4.0)
-        img = np.zeros((1, 64, 64))
-        ci, cp, cd = synth.crop_region(img, pts, den, 0, 0, 32)
-        assert len(cp) == 2
+        _, cd = synth.augment(np.zeros((1, 64, 64)), den, 34, 32)
+        np.testing.assert_array_equal(cd, den[:32, :32])
         assert abs(cd.sum() - 2.0) < 1e-9
 
     def test_cropped_density_bounded_by_edge_leakage(self):
         # one dot straddles the cut: its surviving mass is partial, but
-        # the discrepancy is bounded by that dot's unit mass
+        # the discrepancy is bounded by that dot's unit mass; seed 142
+        # draws the top-left window, flipped
         pts = np.array([[8.0, 8.0], [31.0, 8.0]])
         den = density.gaussian_density_map(pts, 64, 64, sigma=4.0)
-        img = np.zeros((1, 64, 64))
-        _, cp, cd = synth.crop_region(img, pts, den, 0, 0, 32)
-        assert len(cp) == 2
+        _, cd = synth.augment(np.zeros((1, 64, 64)), den, 142, 32)
+        np.testing.assert_array_equal(cd, den[:32, 31::-1])
         assert abs(cd.sum() - 2.0) <= 1.0
         assert cd.sum() < 2.0  # some mass really did leak out
 
     def test_invalid_crop_raises(self):
-        img, pts, den = self._scene()
+        img, den = self._scene()
         with pytest.raises(ShapeError, match="divisible"):
-            synth.augment(img, pts, den, 0, 30)
+            synth.augment(img, den, 0, 30)
         with pytest.raises(ShapeError, match="exceeds"):
-            synth.augment(img, pts, den, 0, 128)
+            synth.augment(img, den, 0, 128)
