@@ -1,7 +1,8 @@
 """Command-line interface: dataset synthesis, preparation, training,
 evaluation, prediction, gradient checking, and the ablation harness.
 
-Exit codes: 0 success, 1 validation error, 2 runtime or numeric failure.
+Exit codes: 0 success, 1 validation error, 2 runtime or numeric failure
+(out of memory included), 130 interrupted.
 """
 
 import argparse
@@ -20,7 +21,7 @@ from .errors import ConfigError, SaanError, TrainingError
 from .gradcheck import run_suite
 from .io_formats import Manifest, ManifestItem
 from .network import Arch, model_forward
-from .params import load_checkpoint, save_checkpoint, validate_inventory
+from .params import load_checkpoint, validate_inventory
 
 CONFIG_DEFAULTS = {f.name: f.default for f in fields(train.TrainConfig)}
 
@@ -29,15 +30,9 @@ def load_config(path):
     """Parse a JSON config into a TrainConfig; relative paths resolve
     against the config file's directory."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"invalid JSON in config {path}: {exc}")
+        doc = io_formats.read_json(path, ConfigError)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"config {path} is not UTF-8 text: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must be a JSON object")
     unknown = sorted(set(doc) - set(CONFIG_DEFAULTS))
@@ -54,6 +49,9 @@ def load_config(path):
         elif f.type is float:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
+            if isinstance(value, int) and abs(value) > sys.float_info.max:
+                raise ConfigError(  # float() would overflow
+                    f"{key} must be a finite number, got a {len(str(abs(value)))}-digit integer")
             merged[key] = float(value)
         else:
             if not isinstance(value, str) or not value:
@@ -139,29 +137,11 @@ def cmd_prepare(args):
     return 0
 
 
-def _train_run(training_set, config, on_phase_end=None, **flags):
-    """Run train.train on (samples, bins) into config.out_dir: train.log,
-    the epoch checkpoints and final.ck."""
-    os.makedirs(config.out_dir, exist_ok=True)
-    with open(os.path.join(config.out_dir, "train.log"), "w", encoding="utf-8") as log_fh:
-        def log(record):
-            log_fh.write(json.dumps(record) + "\n")
-        params = train.train(*training_set, config, log=log, on_phase_end=on_phase_end,
-                             **flags)
-    save_checkpoint(params, os.path.join(config.out_dir, "final.ck"))
-    return params
-
-
 def cmd_train(args):
     config = load_config(args.config)
     manifest = io_formats.load_manifest(config.manifest)
-    training_set = train.load_training_set(
-        manifest, os.path.dirname(os.path.abspath(config.manifest)))
-
-    def on_phase_end(phase, params):
-        if phase == 1:
-            save_checkpoint(params, os.path.join(config.out_dir, "phase1.ck"))
-    _train_run(training_set, config, on_phase_end)
+    base = os.path.dirname(os.path.abspath(config.manifest))
+    train.train(*train.load_training_set(manifest, base), config)
     for name in ("phase1.ck", "final.ck", "train.log"):
         print(f"wrote {os.path.join(config.out_dir, name)}")
     return 0
@@ -261,7 +241,7 @@ def cmd_ablate(args):
         """Train one variant into ablate/<kind>_<name>/ and score it on test."""
         variant_cfg = replace(config, **overrides, out_dir=os.path.join(
             config.out_dir, "ablate", f"{kind}_{_slug(name)}"))
-        params = _train_run(training_set, variant_cfg, **flags)
+        params = train.train(*training_set, variant_cfg, **flags)
         v_mae, v_mse, _ = train.evaluate(params, manifest, base, "test", **flags)
         return params, {"name": name, "mae": v_mae, "mse": v_mse}
 
@@ -368,6 +348,12 @@ def main(argv=None):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # numpy's names the allocation, Python's says nothing
+        print(f"error: out of memory{': ' if str(exc) else ''}{exc}", file=sys.stderr)
+        return 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -25,6 +25,7 @@ import math
 import os
 import shutil
 import struct
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -268,21 +269,41 @@ def save_manifest(path, manifest):
         fh.write("\n")
 
 
+def read_json(path, error):
+    """The JSON document in the UTF-8 file at path. Text that is not UTF-8
+    or not JSON, nesting too deep to parse and a key repeated in one object
+    raise error naming path."""
+    def unique_keys(pairs):
+        doc = dict(pairs)
+        if len(doc) < len(pairs):
+            keys = [k for k, _ in pairs]
+            repeated = next(k for k in keys if keys.count(k) > 1)
+            raise ValueError(f"key {repeated!r} repeated in one object")
+        return doc
+
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh, object_pairs_hook=unique_keys)
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from None
+    except RecursionError:
+        raise error(f"{path}: not valid JSON: nested too deeply to parse") from None
+    # JSONDecodeError, a repeated key, or an integer past int()'s digit limit
+    except ValueError as exc:
+        raise error(f"{path}: not valid JSON: {exc}") from None
+
+
 def _is_range(value):
-    """A [min, max] pair of finite JSON numbers."""
+    """A [min, max] pair of JSON numbers that are finite in float64; a
+    larger integer would overflow float()."""
     return isinstance(value, list) and len(value) == 2 and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) and np.isfinite(v)
+        isinstance(v, (int, float)) and not isinstance(v, bool)
+        and -sys.float_info.max <= v <= sys.float_info.max
         for v in value)
 
 
 def load_manifest(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"{path}: not valid JSON: {exc}")
-    except UnicodeDecodeError as exc:
-        raise ManifestError(f"{path}: not UTF-8 text: {exc}")
+    doc = read_json(path, ManifestError)
     if not isinstance(doc, dict) or set(doc) != {"items", "bins"}:
         raise ManifestError(
             f"{path}: manifest must contain exactly the keys 'items' and 'bins', "

@@ -6,10 +6,15 @@ re-initializes LSA and trains every sub-network under the full loss. A
 variant without LSA runs phase 1 alone over both epoch budgets.
 `_run_phase` alone decides what a phase turns on. The whole run is a
 deterministic function of (config, manifest).
+
+`train` writes everything a run leaves in config.out_dir: train.log (one
+JSON line per step), checkpoints/phase<p>_epoch<nnn>.ck after each epoch,
+phase1.ck after phase 1 when a phase 2 follows, and final.ck.
 """
 
+import json
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -217,17 +222,15 @@ def load_training_set(manifest, base_dir):
     return samples, manifest.bins
 
 
-def train(samples, bins, config, arch=None, *, gsa_enabled=True, lsa_enabled=True,
-          log=None, on_phase_end=None):
-    """The training schedule of `saan train` and of every ablation variant.
+def train(samples, bins, config, arch=None, *, gsa_enabled=True, lsa_enabled=True):
+    """The training run of `saan train` and of every ablation variant,
+    written into config.out_dir as the module docstring lists.
 
     Parameters start from init_params([seed, 0]). With LSA, phase 1 runs
     phase1_epochs and phase 2 (LSA re-initialized) phase2_epochs; without
     it, one phase 1 runs both budgets. A head switched off by gsa_enabled
     or lsa_enabled drops its loss term; a zero lambda_g or lambda_l keeps
-    the head but drops its term from the objective. on_phase_end(phase,
-    params) runs after each phase with the live params, which phase 2
-    goes on to update.
+    the head but drops its term from the objective.
     """
     arch = arch or Arch.default()
     params = init_params(arch, np.random.default_rng([config.seed, 0]))
@@ -235,18 +238,24 @@ def train(samples, bins, config, arch=None, *, gsa_enabled=True, lsa_enabled=Tru
         phases = [(1, config.phase1_epochs), (2, config.phase2_epochs)]
     else:
         phases = [(1, config.phase1_epochs + config.phase2_epochs)]
-    for phase, epochs in phases:
-        params = _run_phase(params, samples, bins, config, arch, phase, epochs, log,
-                            gsa_enabled)
-        if on_phase_end is not None:
-            on_phase_end(phase, params)
+    os.makedirs(config.out_dir, exist_ok=True)
+    with open(os.path.join(config.out_dir, "train.log"), "w", encoding="utf-8") as log_fh:
+        def log(record):
+            log_fh.write(json.dumps(record) + "\n")
+        for phase, epochs in phases:
+            _run_phase(params, samples, bins, config, arch, phase, epochs, log, gsa_enabled)
+            if lsa_enabled and phase == 1:
+                save_checkpoint(params, os.path.join(config.out_dir, "phase1.ck"))
+    save_checkpoint(params, os.path.join(config.out_dir, "final.ck"))
     return params
 
 
 def train_phase1(manifest, config, base_dir, arch=None, log=None):
-    """Phase 1 of `train` alone: LSA parameters keep their initial values."""
-    return train(*load_training_set(manifest, base_dir), replace(config, phase2_epochs=0),
-                 arch, lsa_enabled=False, log=log)
+    """Phase 1 of `train` alone, LSA left at its init; writes only epoch checkpoints."""
+    arch = arch or Arch.default()
+    samples, bins = load_training_set(manifest, base_dir)
+    params = init_params(arch, np.random.default_rng([config.seed, 0]))
+    return _run_phase(params, samples, bins, config, arch, 1, config.phase1_epochs, log)
 
 
 def train_phase2(params, manifest, config, base_dir, arch=None, log=None):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import saan
-from saan import io_formats, train
+from saan import cli, io_formats, train
 from saan.cli import CONFIG_DEFAULTS, load_config, main
 from saan.density import compute_bins
 from saan.errors import ConfigError
@@ -334,6 +334,19 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(str(tmp_path / "absent.json"))
+
+    @pytest.mark.parametrize("text", ['{"seed": 1, "seed": 2}', '{"seed": 1' + "0" * 5000 + "}"],
+                             ids=["repeated-key", "int-past-digit-limit"])
+    def test_json_past_the_parsers_limits_rejected(self, tmp_path, text):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            load_config(str(path))
+
+    def test_integer_for_a_float_key_loads_as_float(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{"lambda_g": 18446744073709551616}')
+        assert load_config(str(path)).lambda_g == 2.0**64
 
 
 class TestTrain:
@@ -678,6 +691,9 @@ class TestAblate:
                 records = [json.loads(line) for line in fh]
             assert {r["phase"] for r in records} == {1}
             assert {r["epoch"] for r in records} == {1, 2, 3}
+        for variant in os.listdir(tmp_path / "out" / "ablate"):
+            phase1 = tmp_path / "out" / "ablate" / variant / "phase1.ck"
+            assert phase1.exists() == (variant not in ("model_base", "model_base_gsa"))
 
     def test_empty_test_split_exits_1_before_training(self, prepared, tmp_path, capsys):
         _, manifest_path = prepared
@@ -760,12 +776,43 @@ class TestExitCodes:
         assert "seed must be >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, literal", [
-        ("learning_rate", "NaN"), ("epsilon", "Infinity"), ("lambda_g", "-Infinity")])
+        ("learning_rate", "NaN"), ("epsilon", "Infinity"), ("lambda_g", "-Infinity"),
+        pytest.param("learning_rate", "1" + "0" * 400, id="learning_rate-int-past-float64"),
+        pytest.param("lambda_g", "-1" + "0" * 400, id="lambda_g-int-past-float64")])
     def test_non_finite_config_number_exits_1(self, tmp_path, capsys, key, literal):
         path = tmp_path / "c.json"
         path.write_text(f'{{"{key}": {literal}}}')
         assert main(["train", "--config", str(path)]) == 1
         assert f"{key} must be a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, text", [
+        ("prepare", "[" * 100_000 + "]" * 100_000),
+        ("train", '{"seed": ' + "[" * 100_000 + "]" * 100_000 + "}"),
+        ("prepare", '{"items": [], "bins": {"global": [0, 18446744073709551616], '
+                    '"local": [0, 1]}}'),
+    ], ids=["deep-manifest", "deep-config", "bins-past-int64"])
+    def test_json_past_the_parsers_limits_exits_1(self, tmp_path, capsys, command, text):
+        path = tmp_path / "f.json"
+        path.write_text(text)
+        flag = "--manifest" if command == "prepare" else "--config"
+        assert main([command, flag, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("exc, code, line", [
+        (KeyboardInterrupt(), 130, "error: interrupted"),
+        (MemoryError(), 2, "error: out of memory"),
+        (MemoryError("Unable to allocate 8.00 GiB"), 2,
+         "error: out of memory: Unable to allocate 8.00 GiB"),
+    ], ids=["interrupt", "out-of-memory", "out-of-memory-named"])
+    def test_interrupt_and_out_of_memory_end_in_one_line(self, monkeypatch, capsys, exc, code,
+                                                          line):
+        def fail(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_gradcheck", fail)
+        assert main(["gradcheck"]) == code
+        assert capsys.readouterr().err == line + "\n"
 
     def test_non_utf8_config_exits_1(self, tmp_path, capsys):
         path = tmp_path / "c.json"

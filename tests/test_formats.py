@@ -1,6 +1,7 @@
 """Tests for the on-disk codecs: PGM, annotations, density maps,
-manifests and checkpoints."""
+manifests, configs and checkpoints."""
 
+import json
 import re
 import struct
 
@@ -10,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from saan import io_formats, params
+from saan.cli import load_config
 from saan.density import ScaleBins
-from saan.errors import AnnotationError, CodecError, ManifestError
+from saan.errors import AnnotationError, CodecError, ManifestError, SaanError
 from saan.io_formats import Manifest, ManifestItem
+from saan.train import TrainConfig
 
 
 @pytest.fixture
@@ -406,6 +409,9 @@ class TestManifest:
         '{"global": [0, true], "local": [0, 1]}',
         '{"global": [NaN, 1], "local": [0, 1]}',
         '{"global": [0, 1], "local": [0, 1, 2]}',
+        '{"global": [0, 1e400], "local": [0, 1]}',
+        '{"global": [0, 1], "local": [0, 1' + "0" * 400 + "]}",
+        '{"global": [-1' + "0" * 400 + ', 1], "local": [0, 1]}',
     ])
     def test_malformed_bins_rejected(self, tmp_path, bins):
         path = tmp_path / "manifest.json"
@@ -418,6 +424,42 @@ class TestManifest:
         path.write_text("{nope")
         with pytest.raises(ManifestError, match="JSON"):
             io_formats.load_manifest(path)
+
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000 + "]" * 100_000,
+        '{"items": [], "bins": null, "items": []}',
+        '{"items": [{"image": "a", "ann": "b", "split": "train", "split": "test"}], '
+        '"bins": null}',
+        '{"items": [], "bins": 1' + "0" * 5000 + "}",
+    ], ids=["deep", "repeated-key", "repeated-item-key", "int-past-digit-limit"])
+    def test_json_past_the_parsers_limits_rejected(self, tmp_path, text):
+        path = tmp_path / "manifest.json"
+        path.write_text(text)
+        with pytest.raises(ManifestError, match=f"{re.escape(str(path))}: not valid JSON"):
+            io_formats.load_manifest(path)
+
+    def test_integer_bins_past_int64_load_as_floats(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text('{"items": [], "bins": {"global": [0, 18446744073709551616], '
+                        '"local": [0, 1]}}')
+        assert io_formats.load_manifest(path).bins == ScaleBins(0.0, 2.0**64, 0.0, 1.0)
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(data=st.data())
+    def test_mutated_manifests_raise_or_round_trip(self, tmp_path_factory, data):
+        # a mutated manifest is refused with a SaanError, or it loads as a
+        # manifest that save_manifest writes and load_manifest reads back
+        path = tmp_path_factory.getbasetemp() / "mutated.json"
+        io_formats.save_manifest(path, self._sample())
+        blob = data.draw(mutated_json(json.loads(path.read_bytes())), label="blob")
+        path.write_bytes(blob)
+        try:
+            m = io_formats.load_manifest(path)
+        except SaanError:
+            return
+        again = tmp_path_factory.getbasetemp() / "again.json"
+        io_formats.save_manifest(again, m)
+        assert io_formats.load_manifest(again) == m
 
     def test_missing_file_validation(self, tmp_path):
         m = self._sample()
@@ -432,6 +474,54 @@ class TestManifest:
         item = ManifestItem("images/scene_007.pgm", "anns/scene_007.txt", "train")
         path = io_formats.density_path("/data/run", item)
         assert path.endswith("density/scene_007.dm")
+
+
+# JSON values a mutation puts in place of another: numbers past float64
+# or int64, other types, and nesting deeper than the parser allows
+JSON_VALUES = ["1e400", "-1e400", str(10**400), str(-10**400), str(2**64), "NaN", "Infinity",
+               "null", "true", "0", "-1", "0.5", '""', '"train"', "[]", "{}", "[0, 1]",
+               "[" * 100_000 + "]" * 100_000]
+
+
+@st.composite
+def mutated_json(draw, doc):
+    """doc as JSON text with some of its values replaced (from JSON_VALUES,
+    or a drawn number) and some keys repeated in their object, then as
+    mutated_bytes mutates it."""
+    values = st.sampled_from(JSON_VALUES) | st.integers().map(str) | st.floats(
+        allow_nan=False, allow_infinity=False).map(repr)
+
+    def text(node):
+        if draw(st.integers(0, 15)) == 0:
+            return draw(values)
+        if isinstance(node, list):
+            return "[" + ", ".join(text(v) for v in node) + "]"
+        if not isinstance(node, dict):
+            return json.dumps(node)
+        pairs = [(json.dumps(k), text(v)) for k, v in node.items()]
+        if pairs and draw(st.integers(0, 15)) == 0:
+            key = draw(st.sampled_from(pairs))[0]
+            pairs.insert(draw(st.integers(0, len(pairs))), (key, draw(values)))
+        return "{" + ", ".join(f"{k}: {v}" for k, v in pairs) + "}"
+
+    return draw(mutated_bytes(text(doc).encode("utf-8")))
+
+
+class TestConfigFile:
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(data=st.data())
+    def test_mutated_configs_raise_or_load(self, tmp_path_factory, data):
+        # a mutated config is refused with a SaanError, or it loads as a
+        # TrainConfig
+        path = tmp_path_factory.getbasetemp() / "config.json"
+        doc = {"manifest": "data/manifest.json", "out_dir": "run", "seed": 3,
+               "phase1_epochs": 2, "learning_rate": 1e-3, "crop_size": 32, "lambda_g": 0.5}
+        path.write_bytes(data.draw(mutated_json(doc), label="blob"))
+        try:
+            config = load_config(str(path))
+        except SaanError:
+            return
+        assert isinstance(config, TrainConfig)
 
 
 def ck_entry(name, dims, data=b""):

@@ -1,8 +1,10 @@
 """Tests for the Adam optimizer, the two-phase trainer, and evaluation."""
 
+import json
 import os
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -268,32 +270,41 @@ class TestSchedule:
         train.train(*train.load_training_set(manifest, root), cfg, Arch.tiny())
         assert len(live) == 6  # 3 epochs of two batches
 
-    def test_on_phase_end_sees_phase1_params(self, dataset):
+    def test_phase1_checkpoint_holds_phase1_params(self, dataset, tmp_path):
         manifest, root = dataset
-        cfg = tiny_config(root, phase1_epochs=2, phase2_epochs=1)
+        cfg = tiny_config(root, phase1_epochs=2, phase2_epochs=1, out_dir=str(tmp_path / "run"))
         arch = Arch.tiny()
-        seen = []
-        train.train(*train.load_training_set(manifest, root), cfg, arch,
-                    on_phase_end=lambda phase, params: seen.append(
-                        (phase, {k: v.copy() for k, v in params.items()})))
-        assert [phase for phase, _ in seen] == [1, 2]
-        assert params_equal(seen[0][1], train.train_phase1(manifest, cfg, root, arch=arch))
+        got = train.train(*train.load_training_set(manifest, root), cfg, arch)
+        phase1 = train.train_phase1(manifest, replace(cfg, out_dir=str(tmp_path / "p1")), root,
+                                    arch=arch)
+        assert params_equal(load_checkpoint(os.path.join(cfg.out_dir, "phase1.ck")), phase1)
+        assert params_equal(load_checkpoint(os.path.join(cfg.out_dir, "final.ck")), got)
 
-    def test_without_lsa_one_phase_runs_both_budgets(self, dataset):
+    def test_without_lsa_one_phase_runs_both_budgets(self, dataset, tmp_path):
         manifest, root = dataset
-        cfg = tiny_config(root, phase1_epochs=1, phase2_epochs=2)
+        cfg = tiny_config(root, phase1_epochs=1, phase2_epochs=2, out_dir=str(tmp_path / "run"))
         arch = Arch.tiny()
-        logs, phases = [], []
         got = train.train(*train.load_training_set(manifest, root), cfg, arch,
-                          lsa_enabled=False, log=logs.append,
-                          on_phase_end=lambda phase, params: phases.append(phase))
-        assert phases == [1]
+                          lsa_enabled=False)
+        with open(os.path.join(cfg.out_dir, "train.log"), encoding="utf-8") as fh:
+            logs = [json.loads(line) for line in fh]
         assert {r["phase"] for r in logs} == {1}
         assert {r["epoch"] for r in logs} == {1, 2, 3}
+        assert sorted(os.listdir(cfg.out_dir)) == ["checkpoints", "final.ck", "train.log"]
         init = init_params(arch, np.random.default_rng([cfg.seed, 0]))
         for k, v in init.items():
             if k.startswith("lsa."):
                 np.testing.assert_array_equal(got[k], v)
+
+    def test_phase_functions_write_epoch_checkpoints_only(self, dataset, tmp_path):
+        manifest, root = dataset
+        cfg = tiny_config(root, phase1_epochs=1, phase2_epochs=1, out_dir=str(tmp_path / "run"))
+        arch = Arch.tiny()
+        train.train_phase2(train.train_phase1(manifest, cfg, root, arch=arch),
+                           manifest, cfg, root, arch=arch)
+        assert os.listdir(cfg.out_dir) == ["checkpoints"]
+        assert sorted(os.listdir(os.path.join(cfg.out_dir, "checkpoints"))) == [
+            "phase1_epoch001.ck", "phase2_epoch001.ck"]
 
 
 class TestEvaluate:
