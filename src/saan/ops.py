@@ -34,14 +34,14 @@ Wp = W + 2p padded columns of each row, so tap (dy, dx) is the plain
 offset dy*Wp + dx and the GEMM output is cropped back to W columns on
 its way into the output. A conv with C >= k input channels copies
 only the k row taps of each channel (the MEC lowering, Cho & Brand
-2017): row (c, dy) of a band is one run of the slab, plus the k-1
-elements after it (k-1 zeros of slack end the slab), a [C*k, L+k-1]
-matrix with k times fewer rows than im2col's. One GEMM with the
-kernel re-laid as [k*Cout, C*k], dx-major, gives every column tap's
-partial sums, and output column j adds rows dx*Cout.. of column j+dx
-for dx in order (kn2row, Vasudevan, Anderson & Gregg 2017). A shift
-reads past a row's end, into the next row or image or the tail, only in
-the columns that the crop drops. A conv with C < k (the one-channel
+2017): row (c, dy) of a band is one run of the slab, a [C*k, L] matrix
+with k times fewer rows than im2col's. One GEMM with the kernel re-laid
+as [k*Cout, C*k], dx-major, gives every column tap's partial sums, and
+output column j adds rows dx*Cout.. of column j+dx for dx in order
+(kn2row, Vasudevan, Anderson & Gregg 2017). A shift reads past a row's
+end, into the next row or image, only in the columns that the crop
+drops, and the shifted sums stop at the block's end, so the last dx
+columns, cropped too, take no tap dx. A conv with C < k (the one-channel
 image convs, where C*k rows make too thin a GEMM) copies all k*k taps,
 a [C*k*k, L] matrix, and is one GEMM of the flattened kernel. The
 weight gradient's view is the exact [C*k*k, N*H*W] matrix.
@@ -127,27 +127,26 @@ def _pad_cm(x, p, slack=0, r0=0, r1=None):
     return buf
 
 
-def _patches(buf, k, hp, wp, n0, n1, r0, r1, width, stride=1, taps=None):
-    """[C, k, taps, n1-n0, r1-r0, width] view of a _pad_cm buffer of hp x wp
+def _patches(buf, k, hp, wp, n, rows, width, stride=1, taps=None):
+    """[C, k, taps, n, rows, width] view of a _pad_cm buffer of hp x wp
     images (taps defaults to k): element (c, dy, dx, i, r, j) is padded
-    pixel (stride*(r0+r) + dy, stride*j + dx) of image n0+i in channel c."""
+    pixel (stride*r + dy, stride*j + dx) of image i in channel c."""
     s0, s = buf.strides
-    return as_strided(buf[:, (n0 * hp + stride * r0) * wp :],
-                      shape=(buf.shape[0], k, taps or k, n1 - n0, r1 - r0, width),
+    return as_strided(buf, shape=(buf.shape[0], k, taps or k, n, rows, width),
                       strides=(s0, wp * s, s, hp * wp * s, stride * wp * s, stride * s),
                       writeable=False)
 
 
-def _row_blocks(n, h, row_bytes, fixed=0):
+def _row_blocks(n, h, row_bytes):
     """Split the (image, row) range of an [N,.,H,.] map into blocks of
-    as many rows as fit in _PATCH_BYTES, less `fixed` bytes per block, at
-    row_bytes each: runs of whole images while one image fits, else bands
-    of one image's rows, their count rounded down to even but at least
-    two, so every band is even but an odd-height image's last. Yields
-    (n0, n1, r0, r1); the blocks tile the flattened (n, h) index in
-    order, so each is one column range of a [C, N*H*W] matrix, and no 2x2
-    pooling window straddles two blocks. The first block is the largest."""
-    rows = (_PATCH_BYTES - fixed) // row_bytes
+    as many rows as fit in _PATCH_BYTES at row_bytes each: runs of whole
+    images while one image fits, else bands of one image's rows, their
+    count rounded down to even but at least two, so every band is even
+    but an odd-height image's last. Yields (n0, n1, r0, r1); the blocks
+    tile the flattened (n, h) index in order, so each is one column range
+    of a [C, N*H*W] matrix, and no 2x2 pooling window straddles two
+    blocks. The first block is the largest."""
+    rows = _PATCH_BYTES // row_bytes
     if rows >= h:
         step = rows // h
         for n0 in range(0, n, step):
@@ -167,38 +166,31 @@ def _patch_blocks(x, k, width, taps=None, out_rows=0):
     padded rows it reads into one buffer that the next block overwrites.
     A block spans L = (n1-n0)*(r1-r0)*width columns, and cols holds taps
     (c, dy, dx) for the first `taps` column taps dx: taps=k (the default)
-    is the full [C*k*k, L] matrix; taps=1 is the [C*k, L+k-1] row taps,
-    each followed by the k-1 elements after it in the slab, so that views
-    of it shifted by dx < k stay in bounds. A block's copy fits in
-    _PATCH_BYTES together with out_rows GEMM result rows of as many
-    columns. For k == 1 the one block is x itself in channel-major order
-    (a view, not a copy, when x came from another conv)."""
+    is the full [C*k*k, L] matrix, taps=1 the [C*k, L] row taps. A
+    block's copy fits in _PATCH_BYTES together with out_rows GEMM result
+    rows of as many columns. For k == 1 the one block is x itself in
+    channel-major order (a view, not a copy, when x came from another
+    conv)."""
     n, c, h, wd = x.shape
     if k == 1:
         yield 0, n, 0, h, x.transpose(1, 0, 2, 3).reshape(c, -1)
         return
     taps = taps or k
-    tail = k - 1 if taps == 1 else 0
     wp = wd + k - 1
     rows = c * k * taps
-    col_bytes = (rows + out_rows) * x.itemsize
-    blocks = list(_row_blocks(n, h, col_bytes * width, col_bytes * tail))
+    blocks = list(_row_blocks(n, h, (rows + out_rows) * x.itemsize * width))
     n0, n1, r0, r1 = blocks[0]
-    buf = np.empty(rows * ((n1 - n0) * (r1 - r0) * width + tail), dtype=x.dtype)
+    buf = np.empty(rows * (n1 - n0) * (r1 - r0) * width, dtype=x.dtype)
     for n0, n1, r0, r1 in blocks:
         nb, rb = n1 - n0, r1 - r0
-        m = nb * rb * width
-        cols = buf[: rows * (m + tail)].reshape(c, k, taps, m + tail)
-        # k-1 zeros of slack: the last column taps of full patch rows
-        # over the padded width, and a row-tap block's tail, read that far
-        # past the slab's last row (into cropped columns only)
+        cols = buf[: rows * nb * rb * width].reshape(rows, -1)
+        # k-1 zeros of slack: the last column taps of full patch rows over
+        # the padded width read that far past the slab's last row (into
+        # cropped columns only)
         slab = _pad_cm(x[n0:n1], (k - 1) // 2, k - 1, r0, r1)
-        view = _patches(slab, k, rb + k - 1, wp, 0, nb, 0, rb, width, taps=taps)
-        np.copyto(cols[..., :m].reshape(view.shape), view)
-        if tail:
-            np.copyto(cols[..., m:], _patches(slab, k, rb + k - 1, wp, nb - 1, nb, rb, rb + 1,
-                                              tail, taps=1)[..., 0, 0, :])
-        yield n0, n1, r0, r1, cols.reshape(rows, -1)
+        view = _patches(slab, k, rb + k - 1, wp, nb, rb, width, taps=taps)
+        np.copyto(cols.reshape(view.shape), view)
+        yield n0, n1, r0, r1, cols
 
 
 def conv2d(x, w, b, relu=False, pool=False):
@@ -242,10 +234,9 @@ def _conv2d(x, w, b, relu, y, pool=False, head=None):
     wp = wd + k - 1
     for n0, n1, r0, r1, cols in _patch_blocks(x, k, wp, taps, len(w2) if taps == 1 else 0):
         g = _head(cols, w2[0])[None] if len(w2) == 1 else w2 @ cols
-        m = (n1 - n0) * (r1 - r0) * wp
-        out = g[:cout, :m]
+        out = g[:cout]
         for dx in range(1, k // taps):
-            out += g[dx * cout : (dx + 1) * cout, dx : dx + m]
+            out[:, :-dx] += g[dx * cout : (dx + 1) * cout, dx:]
         out = out.reshape(lead + (n1 - n0, r1 - r0, wp))[..., :wd]
         if pool:
             out = _pool2(out)
@@ -353,7 +344,7 @@ def conv2d_transpose_backward(gy, x, w, input_grad=True):
     cout = w.shape[1]
     gb = gy.sum(axis=(0, 2, 3))
     cols = np.ascontiguousarray(
-        _patches(_pad_cm(gy, 1), 4, 2 * h + 2, 2 * wd + 2, 0, n, 0, h, wd, stride=2))
+        _patches(_pad_cm(gy, 1), 4, 2 * h + 2, 2 * wd + 2, n, h, wd, stride=2))
     cols = cols.reshape(cout * 16, -1)
     x_cm = x.transpose(1, 0, 2, 3).reshape(cin, -1)
     gw = (cols @ x_cm.T).T.reshape(cin, cout, 4, 4)

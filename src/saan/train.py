@@ -8,10 +8,12 @@ variant without LSA runs phase 1 alone over both epoch budgets.
 deterministic function of (config, manifest).
 
 `train` writes everything a run leaves in config.out_dir: train.log (one
-JSON line per step), checkpoints/phase<p>_epoch<nnn>.ck after each epoch,
-phase1.ck after phase 1 when a phase 2 follows, and final.ck.
+JSON line per step), checkpoints/phase<p>_epoch<nnn>.ck after each epoch
+(an earlier run's epoch checkpoints are removed first), phase1.ck after
+phase 1 when a phase 2 follows, and final.ck.
 """
 
+import glob
 import json
 import os
 from dataclasses import dataclass, field, fields
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import io_formats
 from .density import global_scale_label, local_scale_map
-from .errors import ConfigError, ManifestError, TrainingError
+from .errors import ConfigError, ManifestError, ShapeError, TrainingError
 from .losses import mae, mse, total_loss
 from .network import Arch, count_from_density, model_forward, model_backward
 from .params import init_params, save_checkpoint, validate_inventory
@@ -238,7 +240,12 @@ def train(samples, bins, config, arch=None, *, gsa_enabled=True, lsa_enabled=Tru
         phases = [(1, config.phase1_epochs), (2, config.phase2_epochs)]
     else:
         phases = [(1, config.phase1_epochs + config.phase2_epochs)]
+    if os.path.exists(config.out_dir) and not os.path.isdir(config.out_dir):
+        raise ConfigError(f"out_dir {config.out_dir!r} is not a directory")
     os.makedirs(config.out_dir, exist_ok=True)
+    ckpt_dir = os.path.join(config.out_dir, "checkpoints")
+    for stale in glob.glob("phase*_epoch*.ck", root_dir=ckpt_dir):
+        os.remove(os.path.join(ckpt_dir, stale))
     with open(os.path.join(config.out_dir, "train.log"), "w", encoding="utf-8") as log_fh:
         def log(record):
             log_fh.write(json.dumps(record) + "\n")
@@ -277,8 +284,11 @@ def evaluate(params, manifest, base_dir, split, arch=None,
     for item in items:
         image = io_formats.read_pgm(os.path.join(base_dir, item.image))[None, None, :, :]
         points = io_formats.read_annotations(os.path.join(base_dir, item.ann))
-        out = model_forward(image, params, arch, lsa_enabled=lsa_enabled,
-                            gsa_enabled=gsa_enabled, keep_caches=False)
+        try:
+            out = model_forward(image, params, arch, lsa_enabled=lsa_enabled,
+                                gsa_enabled=gsa_enabled, keep_caches=False)
+        except ShapeError as exc:
+            raise ShapeError(f"{item.image}: {exc}") from None
         pred_count = float(count_from_density(out.density)[0])
         del out  # the next image's forward must not run beside these outputs
         if not np.isfinite(pred_count):

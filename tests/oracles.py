@@ -230,15 +230,14 @@ def dyadic(rng, shape, denom=16, lo=-15, hi=15):
 
 
 def conv_block_bytes(cin, cout, k, width, itemsize):
-    """(bytes per patch row, bytes per block) that a forward conv's blocks
-    count against ops._PATCH_BYTES, written out from the layout rule: with
-    cin >= k a block copies the k row taps of each channel, with k - 1
-    columns of tail, and its [k * cout] GEMM result shares the budget;
-    with cin < k it copies all cin * k * k taps."""
+    """Bytes per patch row that a forward conv's blocks count against
+    ops._PATCH_BYTES, written out from the layout rule: with cin >= k a
+    block copies the k row taps of each channel and its [k * cout] GEMM
+    result shares the budget; with cin < k it copies all cin * k * k
+    taps."""
     if cin >= k:
-        col = (cin * k + k * cout) * itemsize
-        return col * width, col * (k - 1)
-    return cin * k * k * width * itemsize, 0
+        return (cin * k + k * cout) * itemsize * width
+    return cin * k * k * width * itemsize
 
 
 def reference_adam_scalar(grad_fn, x0, lr, steps, beta1=0.9, beta2=0.999, eps=1e-8):

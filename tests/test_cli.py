@@ -768,6 +768,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert ("Is a directory" if path == "dir" else "Not a directory") in err
 
+    def test_out_dir_naming_a_file_exits_1(self, prepared, tmp_path, capsys):
+        _, manifest_path = prepared
+        out_dir = tmp_path / "run"
+        out_dir.write_text("")
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"manifest": manifest_path, "out_dir": str(out_dir)}))
+        assert main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out_dir ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["train", "ablate"])
     def test_negative_config_seed_exits_1(self, tmp_path, capsys, command):
         path = tmp_path / "c.json"

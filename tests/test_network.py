@@ -212,9 +212,9 @@ class TestModelForward:
         # more than one block, and gsa.pool2 pools a 39x51 map
         d = Arch.default()
         assert d.mfe_branches[0][:2] == ((9, 16), (7, 20)) and d.fn_deconvs[-1] == 16
-        assert len(list(ops._row_blocks(1, 156, *conv_block_bytes(1, 16, 9, 212, 4)))) > 1
-        assert len(list(ops._row_blocks(1, 78, *conv_block_bytes(16, 20, 7, 108, 4)))) > 1
-        assert len(list(ops._row_blocks(1, 78, *conv_block_bytes(16, 64, 3, 104, 4)))) > 1
+        assert len(list(ops._row_blocks(1, 156, conv_block_bytes(1, 16, 9, 212, 4)))) > 1
+        assert len(list(ops._row_blocks(1, 78, conv_block_bytes(16, 20, 7, 108, 4)))) > 1
+        assert len(list(ops._row_blocks(1, 78, conv_block_bytes(16, 64, 3, 104, 4)))) > 1
 
     def test_cache_free_peak_memory_at_384x512(self, rng, full):
         # no full-resolution activation is written: the pools run in the

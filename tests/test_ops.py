@@ -44,17 +44,21 @@ def _spy_blocks(monkeypatch):
     return shapes
 
 
-def _spy_patch_bounds(monkeypatch):
+def _spy_patch_bounds(monkeypatch, slack=False):
     """Assert that every patch view an op takes lies inside its buffer:
     as_strided checks no bounds, and a read past the end lands in cropped
-    columns, where no output shows it."""
+    columns, where no output shows it. With slack=True each view must
+    also end before the k-1 zeros of slack that end a conv slab."""
     real = ops._patches
 
-    def spy(buf, *args, **kwargs):
-        view = real(buf, *args, **kwargs)
+    def spy(buf, k, *args, **kwargs):
+        view = real(buf, k, *args, **kwargs)
         lo, base = view.__array_interface__["data"][0], buf.__array_interface__["data"][0]
         hi = lo + sum((d - 1) * s for d, s in zip(view.shape, view.strides)) + view.itemsize
-        assert base <= lo and hi <= base + buf.nbytes
+        end = base + buf.nbytes
+        if slack:
+            end -= (k - 1) * buf.itemsize
+        assert base <= lo and hi <= end
         return view
 
     monkeypatch.setattr(ops, "_patches", spy)
@@ -118,9 +122,9 @@ class TestConv2d:
         x = dyadic(rng, (2, 3, 13, 5))
         w = dyadic(rng, (2, 3, k, k))
         b = dyadic(rng, 2)
-        row_bytes, fixed = conv_block_bytes(3, 2, k, 5 + k - 1, x.itemsize)
-        monkeypatch.setattr(ops, "_PATCH_BYTES", 2 * pairs * row_bytes + fixed)
-        assert len(list(ops._row_blocks(2, 13, row_bytes, fixed))) == blocks
+        row_bytes = conv_block_bytes(3, 2, k, 5 + k - 1, x.itemsize)
+        monkeypatch.setattr(ops, "_PATCH_BYTES", 2 * pairs * row_bytes)
+        assert len(list(ops._row_blocks(2, 13, row_bytes))) == blocks
         np.testing.assert_array_equal(ops.conv2d(x, w, b), naive_conv2d(x, w, b))
 
     def test_blocks_hold_even_rows(self, monkeypatch):
@@ -132,10 +136,6 @@ class TestConv2d:
         assert list(ops._row_blocks(2, 7, 1)) == [(0, 1, 0, 4), (0, 1, 4, 7),
                                                   (1, 2, 0, 4), (1, 2, 4, 7)]
         assert list(ops._row_blocks(3, 2, 1)) == [(0, 2, 0, 2), (2, 3, 0, 2)]
-        # bytes fixed per block (the row-tap copy's tail) come off the budget
-        monkeypatch.setattr(ops, "_PATCH_BYTES", 9)
-        assert list(ops._row_blocks(1, 8, 1, 3)) == [(0, 1, 0, 6), (0, 1, 6, 8)]
-        assert list(ops._row_blocks(1, 8, 1, 4)) == [(0, 1, 0, 4), (0, 1, 4, 8)]
 
     @pytest.mark.parametrize("k", [1, 3, 7])
     def test_fused_relu_matches_unfused(self, rng, monkeypatch, k):
@@ -144,9 +144,9 @@ class TestConv2d:
         x = dyadic(rng, (2, 3, 7, 5))
         w = dyadic(rng, (2, 3, k, k))
         b = dyadic(rng, 2)
-        row_bytes, fixed = conv_block_bytes(3, 2, k, 5 + k - 1, x.itemsize)
-        monkeypatch.setattr(ops, "_PATCH_BYTES", 2 * row_bytes + fixed)
-        assert len(list(ops._row_blocks(2, 7, row_bytes, fixed))) == 8
+        row_bytes = conv_block_bytes(3, 2, k, 5 + k - 1, x.itemsize)
+        monkeypatch.setattr(ops, "_PATCH_BYTES", 2 * row_bytes)
+        assert len(list(ops._row_blocks(2, 7, row_bytes))) == 8
         fused = ops.conv2d(x, w, b, relu=True)
         np.testing.assert_array_equal(fused, np.maximum(ops.conv2d(x, w, b), 0))
         np.testing.assert_array_equal(fused, np.maximum(naive_conv2d(x, w, b), 0))
@@ -162,8 +162,8 @@ class TestConv2d:
         x = dyadic(rng, (2, 3) + hw)
         w = dyadic(rng, (4, 3, k, k))
         b = dyadic(rng, 4)
-        row_bytes, fixed = conv_block_bytes(3, 4, k, hw[1] + k - 1, x.itemsize)
-        monkeypatch.setattr(ops, "_PATCH_BYTES", rows * row_bytes + fixed)
+        row_bytes = conv_block_bytes(3, 4, k, hw[1] + k - 1, x.itemsize)
+        monkeypatch.setattr(ops, "_PATCH_BYTES", rows * row_bytes)
         want = _pool_of_padded(np.maximum(naive_conv2d(x, w, b), 0))
         got = ops.conv2d(x, w, b, relu=True, pool=True)
         assert got.shape == want.shape
@@ -189,9 +189,9 @@ class TestConv2d:
         # the column taps are GEMM outputs summed shifted by dx. Budgets
         # of 2 and 6 rows give bands of the 13-row images, the last one
         # row; 13 and 26 rows give one image per block and the whole
-        # batch, where the views shifted past a row's end run over the seam
-        # between two images (and, after the last, into the tail) in
-        # cropped columns only
+        # batch, where the GEMM outputs shifted past a row's end run over
+        # the seam between two images in cropped columns only, and the
+        # shifts stop at the block's end
         x = dyadic(rng, (2, k, 13, 5))
         w = dyadic(rng, (k, k, k, k))
         b = dyadic(rng, k)
@@ -199,16 +199,39 @@ class TestConv2d:
         want = naive_conv2d(x, w, b)
         pooled = _pool_of_padded(np.maximum(want, 0))
         grads = naive_conv2d_backward(gy, x, w)
-        row_bytes, fixed = conv_block_bytes(k, k, k, 5 + k - 1, x.itemsize)
+        row_bytes = conv_block_bytes(k, k, k, 5 + k - 1, x.itemsize)
         for rows, blocks in [(2, 14), (6, 6), (13, 2), (26, 1)]:
-            monkeypatch.setattr(ops, "_PATCH_BYTES", rows * row_bytes + fixed)
+            monkeypatch.setattr(ops, "_PATCH_BYTES", rows * row_bytes)
             shapes = _spy_blocks(monkeypatch)
+            _spy_patch_bounds(monkeypatch)
             np.testing.assert_array_equal(ops.conv2d(x, w, b), want)
             assert len(shapes) == blocks and {s[0] for s in shapes} == {k * k}
             np.testing.assert_array_equal(ops.conv2d(x, w, b, relu=True, pool=True), pooled)
             # one output channel: a [k, C*k] GEMM, shifted and summed
             np.testing.assert_array_equal(ops.conv2d(x, w[:1], b[:1]), want[:, :1])
             # the input gradient is the same layout's conv of gy's k channels
+            for got, ref in zip(ops.conv2d_backward(gy, x, w), grads):
+                np.testing.assert_array_equal(got, ref)
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    @pytest.mark.parametrize("hw", [(7, 5), (1, 3)])
+    def test_row_taps_read_no_slack(self, rng, monkeypatch, k, hw):
+        # cin = cout = k: the forward and the input gradient copy row taps
+        # over the padded width, and the weight gradient full patch rows
+        # over the exact width, so no view of a slab reaches the k-1 zeros
+        # of slack after its last padded row, in two-row bands or in one
+        # block of the whole batch
+        x = dyadic(rng, (2, k) + hw)
+        w = dyadic(rng, (k, k, k, k))
+        b = dyadic(rng, k)
+        gy = dyadic(rng, (2, k) + hw)
+        want = naive_conv2d(x, w, b)
+        grads = naive_conv2d_backward(gy, x, w)
+        for budget in (0, ops._PATCH_BYTES):
+            monkeypatch.setattr(ops, "_PATCH_BYTES", budget)
+            _spy_patch_bounds(monkeypatch, slack=True)
+            np.testing.assert_array_equal(ops.conv2d(x, w, b), want)
             for got, ref in zip(ops.conv2d_backward(gy, x, w), grads):
                 np.testing.assert_array_equal(got, ref)
             monkeypatch.undo()
@@ -268,7 +291,7 @@ class TestConv2d:
         x = rng.standard_normal((1, 16, 192, 256)).astype(np.float32)
         w = rng.standard_normal((20, 16, 7, 7)).astype(np.float32)
         b = np.zeros(20, dtype=np.float32)
-        _, _, r0, r1 = next(ops._row_blocks(1, 192, *conv_block_bytes(16, 20, 7, 262, 4)))
+        _, _, r0, r1 = next(ops._row_blocks(1, 192, conv_block_bytes(16, 20, 7, 262, 4)))
         assert r1 - r0 == 6
         slab = 16 * ((r1 - r0 + 6) * 262 + 6) * 4
         output = 20 * 192 * 256 * 4
@@ -290,7 +313,7 @@ class TestConv2d:
         x = rng.standard_normal((1, 8, 384, 512)).astype(np.float32)
         w = rng.standard_normal((8, 8, 3, 3)).astype(np.float32)
         gy = rng.standard_normal((1, 8, 384, 512)).astype(np.float32)
-        _, _, r0, r1 = next(ops._row_blocks(1, 384, *conv_block_bytes(8, 8, 3, 514, 4)))
+        _, _, r0, r1 = next(ops._row_blocks(1, 384, conv_block_bytes(8, 8, 3, 514, 4)))
         assert r1 - r0 == 20
         slab = 8 * ((r1 - r0 + 2) * 514 + 2) * 4
         gx = 8 * 384 * 512 * 4
@@ -328,9 +351,9 @@ class TestConv2d:
         x = dyadic(rng, (2, 3, 7, 5))
         w = dyadic(rng, (2, 3, k, k))
         gy = dyadic(rng, (2, 2, 7, 5))
-        row_bytes, fixed = conv_block_bytes(2, 3, k, 5 + k - 1, gy.itemsize)
-        monkeypatch.setattr(ops, "_PATCH_BYTES", rows * row_bytes + fixed)
-        assert len(list(ops._row_blocks(2, 7, row_bytes, fixed))) == blocks
+        row_bytes = conv_block_bytes(2, 3, k, 5 + k - 1, gy.itemsize)
+        monkeypatch.setattr(ops, "_PATCH_BYTES", rows * row_bytes)
+        assert len(list(ops._row_blocks(2, 7, row_bytes))) == blocks
         for got, want in zip(ops.conv2d_backward(gy, x, w), naive_conv2d_backward(gy, x, w)):
             np.testing.assert_array_equal(got, want)
 
@@ -433,9 +456,9 @@ class TestConv2dTranspose:
         w = dyadic(rng, (3, 2, 4, 4))
         b = dyadic(rng, 2)
         w1, b1 = dyadic(rng, (1, 2, 1, 1)), dyadic(rng, 1)
-        row_bytes, fixed = conv_block_bytes(3, 4 * 2, 3, 3 + 2, x.itemsize)
-        monkeypatch.setattr(ops, "_PATCH_BYTES", 2 * pairs * row_bytes + fixed)
-        assert len(list(ops._row_blocks(2, 9, row_bytes, fixed))) == blocks
+        row_bytes = conv_block_bytes(3, 4 * 2, 3, 3 + 2, x.itemsize)
+        monkeypatch.setattr(ops, "_PATCH_BYTES", 2 * pairs * row_bytes)
+        assert len(list(ops._row_blocks(2, 9, row_bytes))) == blocks
         want = naive_conv2d_transpose(x, w, b)
         relu_want = np.maximum(want, 0)
         np.testing.assert_array_equal(ops.conv2d_transpose(x, w, b), want)

@@ -12,7 +12,7 @@ import pytest
 from oracles import reference_adam_scalar
 from saan import io_formats, synth, train
 from saan.density import compute_bins, gaussian_density_map
-from saan.errors import ConfigError, ManifestError, TrainingError
+from saan.errors import ConfigError, ManifestError, ShapeError, TrainingError
 from saan.io_formats import Manifest, ManifestItem
 from saan.network import Arch
 from saan.params import init_params, load_checkpoint
@@ -296,6 +296,27 @@ class TestSchedule:
             if k.startswith("lsa."):
                 np.testing.assert_array_equal(got[k], v)
 
+    def test_rerun_leaves_only_its_own_epoch_checkpoints(self, dataset, tmp_path):
+        # a shorter second run into the same out_dir removes the first
+        # run's epoch checkpoints, and only those
+        manifest, root = dataset
+        samples, bins = train.load_training_set(manifest, root)
+        cfg = tiny_config(root, phase1_epochs=2, phase2_epochs=1, out_dir=str(tmp_path / "run"))
+        train.train(samples, bins, cfg, Arch.tiny())
+        ckpt_dir = os.path.join(cfg.out_dir, "checkpoints")
+        assert len(os.listdir(ckpt_dir)) == 3
+        open(os.path.join(ckpt_dir, "phase1.ck"), "wb").close()
+        train.train(samples, bins, replace(cfg, phase1_epochs=1, phase2_epochs=0), Arch.tiny())
+        assert sorted(os.listdir(ckpt_dir)) == ["phase1.ck", "phase1_epoch001.ck"]
+
+    def test_out_dir_naming_a_file_rejected(self, dataset, tmp_path):
+        manifest, root = dataset
+        path = tmp_path / "run"
+        path.write_text("")
+        cfg = tiny_config(root, out_dir=str(path))
+        with pytest.raises(ConfigError, match=f"out_dir '{path}' is not a directory"):
+            train.train(*train.load_training_set(manifest, root), cfg, Arch.tiny())
+
     def test_phase_functions_write_epoch_checkpoints_only(self, dataset, tmp_path):
         manifest, root = dataset
         cfg = tiny_config(root, phase1_epochs=1, phase2_epochs=1, out_dir=str(tmp_path / "run"))
@@ -357,6 +378,15 @@ class TestEvaluate:
             tracemalloc.stop()
         assert len(records) == 2
         assert peak < 12 * 2**20
+
+    def test_too_small_image_named(self, tmp_path):
+        # the forward refuses a 4x6 image, and the error says which one
+        io_formats.write_pgm(str(tmp_path / "small.pgm"), np.zeros((4, 6), dtype=np.float32))
+        io_formats.write_annotations(str(tmp_path / "small.txt"), np.zeros((0, 2)))
+        manifest = Manifest([ManifestItem("small.pgm", "small.txt", "test")], None)
+        params = init_params(Arch.tiny(), np.random.default_rng(1))
+        with pytest.raises(ShapeError, match="^small.pgm: input too small"):
+            train.evaluate(params, manifest, str(tmp_path), "test", arch=Arch.tiny())
 
     def test_empty_split_rejected(self, dataset):
         manifest, root = dataset
