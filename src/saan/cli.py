@@ -167,10 +167,7 @@ def cmd_predict(args):
     image = io_formats.read_pgm(args.image)
     params = load_checkpoint(args.checkpoint)
     validate_inventory(params, Arch.default())
-    out = model_forward(image[None, None, :, :], params, keep_caches=False)
-    density = out.density[0, 0].astype(np.float32)
-    if not np.all(np.isfinite(density)):
-        raise TrainingError(f"checkpoint {args.checkpoint} gives a non-finite density map")
+    density = train.predict_density(params, image, args.image)
     io_formats.save_density(args.out + ".dm", density)
     peak = float(density.max())
     if peak > 0:

@@ -44,7 +44,7 @@ def atomic_open(path, mode, **kwargs):
     (os.replace) when the block ends and is removed if the block raises,
     so path holds either its old bytes or the whole new file. The new file
     takes an existing path's mode; a link at path is replaced, not
-    written through."""
+    written through. An OSError on the temporary file names path."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, mode, **kwargs) as fh:
@@ -52,9 +52,11 @@ def atomic_open(path, mode, **kwargs):
         if os.path.exists(path):
             shutil.copymode(path, tmp)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise type(exc)(exc.errno, exc.strerror, path) from None
         raise
 
 

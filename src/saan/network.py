@@ -269,8 +269,3 @@ def model_backward(grads_out, out, params):
         grads.update(lsa_grads)
 
     return grads
-
-
-def count_from_density(density):
-    """Predicted count per sample: the plain sum of the density map."""
-    return density.sum(axis=tuple(range(1, density.ndim)))

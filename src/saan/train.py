@@ -24,7 +24,7 @@ from . import io_formats
 from .density import global_scale_label, local_scale_map
 from .errors import ConfigError, ManifestError, ShapeError, TrainingError
 from .losses import mae, mse, total_loss
-from .network import Arch, count_from_density, model_forward, model_backward
+from .network import Arch, model_forward, model_backward
 from .params import init_params, save_checkpoint, validate_inventory
 from .synth import augment
 
@@ -272,6 +272,21 @@ def train_phase2(params, manifest, config, base_dir, arch=None, log=None):
                       2, config.phase2_epochs, log)
 
 
+def predict_density(params, image, name, arch=None, lsa_enabled=True, gsa_enabled=True):
+    """The cache-free forward of one [H, W] image: its [H, W] float32
+    density map. Errors name the image as name: a ShapeError from the
+    forward, and a TrainingError when the map's sum is not finite."""
+    try:
+        out = model_forward(image[None, None, :, :], params, arch, lsa_enabled=lsa_enabled,
+                            gsa_enabled=gsa_enabled, keep_caches=False)
+    except ShapeError as exc:
+        raise ShapeError(f"{name}: {exc}") from None
+    density = out.density[0, 0]
+    if not np.isfinite(density.sum()):
+        raise TrainingError(f"{name}: non-finite predicted count")
+    return density
+
+
 def evaluate(params, manifest, base_dir, split, arch=None,
              lsa_enabled=True, gsa_enabled=True):
     """Full-image batch-1 evaluation: returns (mae, mse, per-image records)."""
@@ -282,21 +297,13 @@ def evaluate(params, manifest, base_dir, split, arch=None,
         raise ManifestError(f"split {split!r} is empty")
     records = []
     for item in items:
-        image = io_formats.read_pgm(os.path.join(base_dir, item.image))[None, None, :, :]
+        image = io_formats.read_pgm(os.path.join(base_dir, item.image))
         points = io_formats.read_annotations(os.path.join(base_dir, item.ann))
-        try:
-            out = model_forward(image, params, arch, lsa_enabled=lsa_enabled,
-                                gsa_enabled=gsa_enabled, keep_caches=False)
-        except ShapeError as exc:
-            raise ShapeError(f"{item.image}: {exc}") from None
-        pred_count = float(count_from_density(out.density)[0])
-        del out  # the next image's forward must not run beside these outputs
-        if not np.isfinite(pred_count):
-            raise TrainingError(f"non-finite predicted count for {item.image}")
         records.append({
             "image": item.image,
             "gt_count": float(len(points)),
-            "pred_count": pred_count,
+            "pred_count": float(predict_density(params, image, item.image, arch,
+                                                lsa_enabled, gsa_enabled).sum()),
         })
     gt = [r["gt_count"] for r in records]
     pred = [r["pred_count"] for r in records]

@@ -507,7 +507,8 @@ class TestEval:
         _, manifest_path, _, out_dir = trained
         bad = nan_checkpoint(os.path.join(out_dir, "final.ck"), tmp_path)
         assert main(["eval", "--checkpoint", bad, "--manifest", manifest_path]) == 2
-        assert "non-finite" in capsys.readouterr().err
+        image = io_formats.load_manifest(manifest_path).split_items("test")[0].image
+        assert f"error: {image}: non-finite" in capsys.readouterr().err
 
 
 class TestPredict:
@@ -553,6 +554,16 @@ class TestPredict:
         assert (tmp_path / "p1.dm").read_bytes() == (tmp_path / "p2.dm").read_bytes()
         assert (tmp_path / "p1.pgm").read_bytes() == (tmp_path / "p2.pgm").read_bytes()
 
+    def test_out_in_missing_directory_exits_1_naming_it(self, trained, tmp_path, capsys,
+                                                         monkeypatch):
+        root, manifest_path, _, out_dir = trained
+        image = os.path.join(root, io_formats.load_manifest(manifest_path).items[0].image)
+        monkeypatch.chdir(tmp_path)
+        assert main(["predict", "--checkpoint", os.path.join(out_dir, "final.ck"),
+                     "--image", image, "--out", "nodir/x"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: [Errno 2] No such file or directory: 'nodir/x.dm'\n"
+
     def _predict(self, trained, tmp_path, ckpt):
         root, manifest_path, _, _ = trained
         image = io_formats.load_manifest(manifest_path).items[0].image
@@ -594,10 +605,11 @@ class TestPredict:
         assert "truncated" in capsys.readouterr().err
 
     def test_nan_checkpoint_exits_2(self, trained, tmp_path, capsys):
-        _, _, _, out_dir = trained
+        root, manifest_path, _, out_dir = trained
         bad = nan_checkpoint(os.path.join(out_dir, "final.ck"), tmp_path)
         assert self._predict(trained, tmp_path, bad) == 2
-        assert "non-finite" in capsys.readouterr().err
+        image = os.path.join(root, io_formats.load_manifest(manifest_path).items[0].image)
+        assert f"error: {image}: non-finite" in capsys.readouterr().err
 
 
 # a 384x512 cache-free density and one batch-4 64x64 step's gradients,

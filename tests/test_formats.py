@@ -634,6 +634,18 @@ class TestAtomicWrites:
         assert path.read_bytes() == b"old bytes"
         assert sorted(p.name for p in tmp_path.iterdir()) == [name]
 
+    @pytest.mark.parametrize("name, write, value", [
+        ("a.ck", lambda path, p: params.save_checkpoint(p, path), {"a": np.ones(3, np.float32)}),
+        ("a.dm", io_formats.save_density, np.ones((2, 3), np.float32)),
+        ("manifest.json", io_formats.save_manifest, Manifest(items=[], bins=None)),
+    ])
+    def test_missing_directory_names_the_target(self, tmp_path, name, write, value):
+        path = str(tmp_path / "nodir" / name)
+        with pytest.raises(FileNotFoundError) as info:
+            write(path, value)
+        assert info.value.filename == path
+        assert ".tmp" not in str(info.value)
+
     def test_successful_write_replaces_file(self, tmp_path):
         path = tmp_path / "a.dm"
         path.write_bytes(b"old bytes")

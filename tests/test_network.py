@@ -349,24 +349,6 @@ class TestModelBackward:
             network.model_backward({"density": np.ones_like(out.density)}, out, p)
 
 
-class TestCount:
-    def test_zero_map(self):
-        np.testing.assert_array_equal(
-            network.count_from_density(np.zeros((2, 1, 4, 4))), np.zeros(2)
-        )
-
-    def test_single_entry(self):
-        d = np.zeros((1, 1, 3, 3))
-        d[0, 0, 1, 2] = 3.5
-        assert network.count_from_density(d)[0] == 3.5
-
-    def test_float32_matches_float64_oracle(self, rng):
-        d = rng.uniform(0, 0.01, (1, 1, 64, 64)).astype(np.float32)
-        got = float(network.count_from_density(d)[0])
-        want = float(d.astype(np.float64).sum())
-        assert abs(got - want) < 1e-4
-
-
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tiny, tmp_path):
         arch, p = tiny

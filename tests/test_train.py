@@ -14,8 +14,9 @@ from saan import io_formats, synth, train
 from saan.density import compute_bins, gaussian_density_map
 from saan.errors import ConfigError, ManifestError, ShapeError, TrainingError
 from saan.io_formats import Manifest, ManifestItem
-from saan.network import Arch
-from saan.params import init_params, load_checkpoint
+from saan.cli import main
+from saan.network import Arch, model_forward
+from saan.params import init_params, load_checkpoint, save_checkpoint
 from saan.train import AdamState, TrainConfig, adam_step
 
 
@@ -328,6 +329,46 @@ class TestSchedule:
             "phase1_epoch001.ck", "phase2_epoch001.ck"]
 
 
+class TestPredictDensity:
+    def test_is_the_cache_free_forwards_map(self):
+        arch = Arch.tiny()
+        params = init_params(arch, np.random.default_rng(1))
+        image = np.random.default_rng(2).uniform(0, 1, (30, 41)).astype(np.float32)
+        got = train.predict_density(params, image, "x.pgm", arch)
+        want = model_forward(image[None, None], params, arch, keep_caches=False).density[0, 0]
+        assert got.shape == image.shape and got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+
+    def test_evaluate_counts_its_sum(self, dataset):
+        manifest, root = dataset
+        arch = Arch.tiny()
+        params = init_params(arch, np.random.default_rng(1))
+        _, _, records = train.evaluate(params, manifest, root, "train", arch=arch)
+        for r in records:
+            image = io_formats.read_pgm(os.path.join(root, r["image"]))
+            want = float(train.predict_density(params, image, r["image"], arch).sum())
+            assert r["pred_count"] == want
+
+    def test_sum_matches_float64_oracle(self):
+        arch = Arch.tiny()
+        params = init_params(arch, np.random.default_rng(1))
+        image = np.random.default_rng(2).uniform(0, 1, (64, 64)).astype(np.float32)
+        d = train.predict_density(params, image, "x.pgm", arch)
+        scale = np.abs(d).sum(dtype=np.float64)
+        assert abs(float(d.sum()) - d.sum(dtype=np.float64)) <= 1e-5 * scale
+
+    @pytest.mark.parametrize("value", [np.nan, 1e37])
+    def test_non_finite_sum_refused_naming_the_image(self, value):
+        # a NaN head bias makes every pixel NaN; 1e37 per pixel is finite,
+        # but the float32 sum of 256 pixels overflows
+        arch = Arch.tiny()
+        params = init_params(arch, np.random.default_rng(1))
+        params["fn.conv2.bias"] = np.full_like(params["fn.conv2.bias"], value)
+        image = np.random.default_rng(2).uniform(0, 1, (16, 16)).astype(np.float32)
+        with pytest.raises(TrainingError, match="^x.pgm: non-finite"):
+            train.predict_density(params, image, "x.pgm", arch)
+
+
 class TestEvaluate:
     def test_records_match_metrics(self, dataset):
         manifest, root = dataset
@@ -387,6 +428,16 @@ class TestEvaluate:
         params = init_params(Arch.tiny(), np.random.default_rng(1))
         with pytest.raises(ShapeError, match="^small.pgm: input too small"):
             train.evaluate(params, manifest, str(tmp_path), "test", arch=Arch.tiny())
+
+    def test_predict_names_too_small_image(self, tmp_path, capsys):
+        # `saan predict` runs the same checked forward, so it names the image too
+        image = str(tmp_path / "small.pgm")
+        io_formats.write_pgm(image, np.zeros((4, 6), dtype=np.float32))
+        ckpt = str(tmp_path / "m.ck")
+        save_checkpoint(init_params(Arch.default(), np.random.default_rng(1)), ckpt)
+        assert main(["predict", "--checkpoint", ckpt, "--image", image,
+                     "--out", str(tmp_path / "p")]) == 1
+        assert f"error: {image}: input too small" in capsys.readouterr().err
 
     def test_empty_split_rejected(self, dataset):
         manifest, root = dataset
